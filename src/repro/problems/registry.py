@@ -203,13 +203,6 @@ def spec_from_wire(platform: Platform, payload: Any) -> ProblemSpec:
     return resolve(str(problem)).spec_type.from_wire(platform, payload)
 
 
-def legacy_entry_points() -> Dict[str, Callable[..., Any]]:
-    """The deprecated ``SOLVER_ENTRY_POINTS`` table, built from the registry."""
-    return {
-        name: entry.entry_point for name, entry in sorted(_REGISTRY.items())
-    }
-
-
 def describe() -> Dict[str, Any]:
     """JSON-safe registry metadata (CLI ``problems`` command, API op)."""
     out: Dict[str, Any] = {}

@@ -26,11 +26,12 @@ enough to recompute freely.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.activities import SteadyStateSolution
 from ..core.dag import TaskGraph
@@ -411,6 +412,22 @@ class SolveEngine:
             self.incremental.forget(platform)
         return removed
 
+    def put_replica(self, fp: str, result: BrokerResult, platform: Platform,
+                    generation: Any) -> str:
+        """Store a hot key solved on another replica, guarded by the
+        cache generation the writer captured at solve start: without one
+        the put is ``"skipped"`` (unguarded, it could undo an
+        invalidation); if it moved since, ``"stale"``; else ``"present"``
+        or ``"stored"``."""
+        if not isinstance(generation, int) or isinstance(generation, bool):
+            return "skipped"
+        if self.cache.peek(fp) is not None:
+            return "present"
+        stored = self.cache.put(fp, result.solution, platform,
+                                schedule=result.schedule,
+                                generation=generation)
+        return "stale" if stored is None else "stored"
+
     def snapshot(self, include_keys: bool = False) -> Dict[str, Any]:
         """JSON-safe operational state of this shard.
 
@@ -535,14 +552,21 @@ class Broker:
         """Synchronous solve (cache -> warm -> cold), metered."""
         return self.engine.run(request, request.fingerprint())
 
-    def submit(self, request: SolveRequest) -> "Future[BrokerResult]":
-        """Asynchronous solve; duplicate in-flight requests share a future."""
+    def submit(self, request: SolveRequest, *,
+               run: Optional[Callable[[], BrokerResult]] = None,
+               ) -> "Future[BrokerResult]":
+        """Asynchronous solve; duplicate in-flight requests share a future.
+
+        ``run`` (default: this broker's engine) computes the leader's
+        result; the sharding layer passes its routed solve."""
         fp = request.fingerprint()
         start = time.perf_counter()
+        if run is None:
+            run = functools.partial(self.engine.run, request, fp)
         if self._pool is None:  # sync broker: resolve immediately
             fut: "Future[BrokerResult]" = Future()
             try:
-                fut.set_result(self.engine.run(request, fp))
+                fut.set_result(run())
             except BaseException as exc:  # noqa: BLE001 — future carries it
                 fut.set_exception(exc)
             return fut
@@ -553,7 +577,7 @@ class Broker:
         with self._inflight_lock:
             inflight = self._inflight.get(fp)
             if inflight is None:
-                fut = self._pool.submit(self._run_pooled, request, fp, parent)
+                fut = self._pool.submit(self._run_pooled, run, parent)
                 fut._repro_trace_id = (  # type: ignore[attr-defined]
                     parent.trace.trace_id if parent is not None else None
                 )
@@ -579,10 +603,10 @@ class Broker:
                 follower_span.annotate(leader_trace=leader_trace)
         return self._chain_schedule(inflight, request, start, follower_span)
 
-    def _run_pooled(self, request: SolveRequest, fp: str,
-                    parent) -> BrokerResult:
+    @staticmethod
+    def _run_pooled(run: Callable[[], BrokerResult], parent) -> BrokerResult:
         with activate(parent):
-            return self.engine.run(request, fp)
+            return run()
 
     def _forget_inflight(self, fp: str) -> None:
         with self._inflight_lock:

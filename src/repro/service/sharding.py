@@ -13,12 +13,16 @@ requests always land on the same shard, so sharding never duplicates
 cache entries and per-request results are exactly the single-broker
 results — ``Fraction``-exact.
 
-Three shard placements, mixable on one hash ring:
+Every ring slot is a shard handle with one object-level interface
+(:class:`_Shard`), so routing, heat, the near-cache, hot-key fan-out,
+failover, invalidation fan-out and snapshots run once, whatever the
+placement.  A ring holds thread shards only, or pipe and TCP shards:
 
 ``thread`` shards
     Full in-process :class:`~repro.service.broker.Broker`\\ s (worker
-    pool + in-flight coalescing).  Zero serialization; all shards share
-    the GIL, so this mode scales cache/model *capacity*, not CPU.
+    pool + in-flight coalescing) reached with objects.  Zero
+    serialization; all shards share the GIL, so this mode scales
+    cache/model *capacity*, not CPU.
 
 ``process`` (pipe) shards
     Long-lived local worker **processes**, each hosting a bare
@@ -70,13 +74,15 @@ failover cheap and rejoin cheap again.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import multiprocessing
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
+                    Tuple)
 
 from ..platform.graph import Platform
 from ..platform.serialization import platform_to_dict
@@ -91,7 +97,7 @@ from .transport import (
     connect_async,
     spawn_pipe_shard,
 )
-from .wire import result_from_wire
+from .wire import result_from_wire, result_to_wire
 
 
 class ShardError(RuntimeError):
@@ -129,7 +135,8 @@ class ShardTimeoutError(ShardUnavailableError):
 _REMOTE_ERROR_TYPES: Dict[str, type] = {}
 
 
-def _remote_error(type_name: str, message: str) -> ShardError:
+def _remote_error(type_name: str, message: str,
+                  shard: Optional[int] = None) -> ShardError:
     cls = _REMOTE_ERROR_TYPES.get(type_name)
     if cls is None:
         cls = type(type_name, (ShardError,), {
@@ -137,7 +144,7 @@ def _remote_error(type_name: str, message: str) -> ShardError:
                        f"transport",
         })
         _REMOTE_ERROR_TYPES[type_name] = cls
-    return cls(message)
+    return cls(message, shard=shard)
 
 
 def _raise_worker_error(reply: Dict[str, Any],
@@ -160,7 +167,7 @@ def _raise_worker_error(reply: Dict[str, Any],
         exc.server_reported = True
         return exc
     return _remote_error(reply.get("type", "ShardError"),
-                         reply.get("error", ""))
+                         reply.get("error", ""), shard=shard)
 
 
 # ----------------------------------------------------------------------
@@ -256,148 +263,15 @@ class HashRing:
 
 
 # ----------------------------------------------------------------------
-# shard handles: one transport + one dispatch queue per shard
+# shard handles: one object-level interface per ring slot
 # ----------------------------------------------------------------------
-class _TransportShard:
-    """Parent-side handle: a transport, a call lock and a single-thread
-    dispatch queue.
+#: one replicated put: (fingerprint, result, the request it answers,
+#: the target replica's cache generation captured at solve start)
+PutEntry = Tuple[str, BrokerResult, SolveRequest, Optional[int]]
 
-    The lock serialises transport use (one request in flight per shard —
-    cross-shard parallelism is the scaling axis, and it also gives each
-    shard a strict solve → invalidate ordering, which keeps fan-out
-    invalidation race-free from the parent's point of view).  The
-    per-shard **own** executor is what prevents head-of-line blocking: a
-    burst of requests hashing to one busy shard queues on *that shard's*
-    thread and can never starve dispatch to idle shards or the
-    introspection fan-outs, which a shared pool would allow.
-
-    ``epoch`` increments on every worker swap (local restart); a caller
-    that saw a failure on epoch *e* only triggers recovery if the shard
-    is still on epoch *e*, so concurrent failures cause one restart, not
-    a stampede.
-    """
-
-    restartable = False
-    #: True when the transport multiplexes many in-flight requests on
-    #: one connection (calls then bypass the serialising lock and the
-    #: dispatch queue gets real width)
-    muxed = False
-
-    def __init__(self, index: int, transport,
-                 queue_width: int = 1) -> None:
-        self.index = index
-        self.transport = transport
-        self.lock = threading.Lock()
-        self.executor = ThreadPoolExecutor(
-            max_workers=max(1, queue_width),
-            thread_name_prefix=f"repro-shard-{index}",
-        )
-        # transport round-trips (one request+reply pair)
-        self.calls = 0  # guarded-by: lock
-        # failures/timeouts are mutated by the owning ShardedBroker
-        # under ITS _health_lock (cross-object guarding the lock
-        # checker cannot express), so they stay unannotated here
-        self.failures = 0
-        self.timeouts = 0
-        self.restarts = 0  # guarded-by: lock
-        self.epoch = 0  # guarded-by: lock
-        self.ejected = False  # remote: off the ring until health rejoin
-        self.dead = False  # local: respawn itself failed (permanent)
-
-    @property
-    def active(self) -> bool:
-        return not (self.ejected or self.dead)
-
-    def call(self, msg: Dict[str, Any],
-             timeout: Optional[float] = None) -> Dict[str, Any]:
-        """One locked round-trip; worker-side errors become exceptions."""
-        with self.lock:
-            self.calls += 1
-            reply = self.transport.request(msg, timeout=timeout)
-        if not reply.get("ok"):
-            raise _raise_worker_error(reply, shard=self.index)
-        return reply
-
-    def restart(self, expected_epoch: int) -> bool:
-        """Swap in a fresh worker; returns whether the shard is usable.
-        Base shards (remote) cannot restart."""
-        raise NotImplementedError
-
-    def health(self) -> Dict[str, Any]:
-        return {
-            "shard": self.index,
-            "kind": self.transport.kind,
-            "address": self.transport.address,
-            "active": self.active,
-            "ejected": self.ejected,
-            "dead": self.dead,
-            # GIL-atomic int reads; taking self.lock here would block
-            # the health probe behind an in-flight solve
-            "calls": self.calls,  # repro-lint: allow(locks)
-            "failures": self.failures,
-            "timeouts": self.timeouts,
-            "restarts": self.restarts,  # repro-lint: allow(locks)
-        }
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self.executor.shutdown(wait=True)  # drain queued dispatches first
-        self.transport.close()
-
-
-class _LocalShard(_TransportShard):
-    """A pipe shard: worker process spawned (and respawned) by us."""
-
-    restartable = True
-
-    def __init__(self, index: int, ctx, cache_size: int,
-                 ttl: Optional[float], incremental: bool) -> None:
-        self._ctx = ctx
-        self._cache_size = cache_size
-        self._ttl = ttl
-        self._incremental = incremental
-        super().__init__(
-            index, spawn_pipe_shard(ctx, cache_size, ttl, incremental)
-        )
-
-    @property
-    def process(self):
-        return self.transport.process
-
-    def restart(self, expected_epoch: int) -> bool:
-        with self.lock:
-            if self.epoch != expected_epoch:
-                return not self.dead  # another thread already recovered
-            old = self.transport
-            try:
-                # the worker is dead or wedged: skip the stop handshake's
-                # grace and terminate straight away
-                old.close(stop_timeout=0.2)
-            except Exception:  # noqa: BLE001 — already beyond saving
-                pass
-            try:
-                self.transport = spawn_pipe_shard(
-                    self._ctx, self._cache_size, self._ttl,
-                    self._incremental,
-                )
-            except Exception:  # noqa: BLE001 — respawn failed: shard dead
-                self.dead = True
-                return False
-            self.epoch += 1
-            self.restarts += 1
-            return True
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self.executor.shutdown(wait=True)
-        self.transport.close(stop_timeout=timeout)
-
-
-class _RemoteShard(_TransportShard):
-    """A TCP shard on another host; we supervise membership, not life."""
-
-    def __init__(self, index: int, address: str,
-                 connect_timeout: float = 5.0) -> None:
-        super().__init__(index, connect(address, connect_timeout))
-
+#: health-probe request budget: pings and rejoin clears are cheap ops,
+#: so a shard that cannot answer within this is treated as down
+_PING_TIMEOUT = 2.0
 
 #: dispatch-queue width for a multiplexed shard: how many of one
 #: shard's requests this broker keeps in flight on the shared
@@ -406,33 +280,468 @@ class _RemoteShard(_TransportShard):
 ASYNC_SHARD_WIDTH = 8
 
 
-class _AsyncRemoteShard(_TransportShard):
-    """A TCP shard reached over the multiplexed async bridge.
+def _activated(parent, fn: Callable, *args):
+    """Run ``fn`` under the caller's span on a dispatch thread."""
+    with activate(parent):
+        return fn(*args)
 
-    Calls do **not** serialise on the shard lock: the bridge transport
-    is thread-safe and demultiplexes replies by request id, so many of
-    this broker's threads keep requests in flight on one connection
-    concurrently.  The lock still guards the counters and the health
-    prober's rejoin handshake.
+
+def _outcome(fut: Future):
+    """A future's result, or its exception as a value."""
+    try:
+        return fut.result()
+    except Exception as exc:  # noqa: BLE001 — handed back per item
+        return exc
+
+
+class _Shard:
+    """One ring slot, reached with objects whatever its placement.
+
+    ``solve`` / ``solve_many`` / ``put`` / ``invalidate`` / ``clear`` /
+    ``snapshot`` run one op on this shard; ``solve_many`` hands back a
+    per-item exception instead of raising it.  ``submit`` queues the
+    ring's routed solve of a request on the shard's dispatch queue, and
+    ``put`` returns a future that an in-process shard has already
+    completed.  ``generation`` is the shard's cache generation — exact
+    in-process, a monotone lower bound learned from replies over a wire
+    (``None`` before the first reply).  ``probe`` is the health check
+    (True when an ejected shard rejoined).  Only wire shards raise
+    :class:`ShardUnavailableError`.
     """
 
-    muxed = True
+    #: a local worker the shard restarts by itself after a failure
+    restartable = False
+    ejected = False  # remote: off the ring until a health rejoin
+    dead = False  # local: respawn itself failed (permanent)
+    # transport round-trips and supervision counters (none in-process)
+    calls = failures = timeouts = restarts = coalesced = 0
 
-    def __init__(self, index: int, address: str,
-                 connect_timeout: float = 5.0) -> None:
-        super().__init__(index, connect_async(address, connect_timeout),
-                         queue_width=ASYNC_SHARD_WIDTH)
+    def __init__(self, index: int, queue_width: int = 1) -> None:
+        self.index = index
+        # the shard's own dispatch queue: a burst hashing to one busy
+        # shard queues here and never starves dispatch to idle shards
+        self.executor = ThreadPoolExecutor(
+            max_workers=max(1, queue_width),
+            thread_name_prefix=f"repro-shard-{index}",
+        )
 
+    @property
+    def active(self) -> bool:
+        return not (self.ejected or self.dead)
+
+    def health(self) -> Dict[str, Any]:
+        return {
+            "shard": self.index,
+            "kind": self.kind,
+            "address": self.address,
+            "active": self.active,
+            "ejected": self.ejected,
+            "dead": self.dead,
+            # GIL-atomic int reads; taking a wire shard's call lock here
+            # would block the health report behind an in-flight solve
+            "calls": self.calls,
+            "failures": self.failures,
+            "timeouts": self.timeouts,
+            "restarts": self.restarts,
+        }
+
+
+class _InProcessShard(_Shard):
+    """A thread shard: an in-process :class:`Broker` reached with
+    objects.  Exact generations, synchronous replica puts, and the
+    broker's in-flight coalescing for submitted solves."""
+
+    kind = "thread"
+
+    def __init__(self, index: int, cache_size: int, ttl: Optional[float],
+                 workers: int, incremental: bool) -> None:
+        super().__init__(index)
+        self.broker = Broker(
+            cache=SolutionCache(max_size=cache_size, ttl=ttl),
+            workers=workers,
+            executor="thread",
+            incremental=incremental,
+        )
+
+    @property
+    def address(self) -> str:
+        return f"thread://{self.index}"
+
+    @property
+    def coalesced(self) -> int:  # type: ignore[override]
+        return self.broker.coalesced
+
+    def solve(self, request: SolveRequest, fp: str) -> BrokerResult:
+        with span("shard.solve", shard=self.index, mode="thread"):
+            return self.broker.engine.run(request, fp)
+
+    def submit(self, request: SolveRequest, fp: str,
+               run: Callable[[], BrokerResult]) -> "Future[BrokerResult]":
+        # the broker's pool runs the routed solve; an identical request
+        # already in flight coalesces onto it instead
+        return self.broker.submit(request, run=run)
+
+    def solve_many(self, requests: List[SolveRequest],
+                   fps: List[str]) -> List[Any]:
+        return [_outcome(fut)
+                for fut in [self.broker.submit(r) for r in requests]]
+
+    def put(self, entries: List[PutEntry]) -> "Future[Tuple[int, int]]":
+        with span("ring.replicate", shard=self.index, entries=len(entries)):
+            outcomes = [
+                self.broker.engine.put_replica(fp, result, request.platform,
+                                               gen)
+                for fp, result, request, gen in entries
+            ]
+        done: "Future[Tuple[int, int]]" = Future()
+        done.set_result((outcomes.count("stored"),
+                         outcomes.count("stale") + outcomes.count("skipped")))
+        return done
+
+    def invalidate(self, platform: Platform) -> int:
+        return self.broker.invalidate_platform(platform)
+
+    def clear(self) -> int:
+        return self.broker.cache.clear()
+
+    def snapshot(self) -> Dict[str, Any]:
+        # keys ride along so merged snapshots can deduplicate replicated
+        # entries (wire shards send them too)
+        return self.broker.engine.snapshot(include_keys=True)
+
+    def generation(self) -> Optional[int]:
+        return self.broker.cache.generation
+
+    def probe(self) -> bool:
+        return False
+
+    def stop(self) -> None:
+        self.executor.shutdown(wait=True)
+        self.broker.close()
+
+
+def _decoded(wire: Dict[str, Any]) -> BrokerResult:
+    """A result decoded from a shard reply.  It keeps its wire form, so
+    a replicated put re-ships those bytes instead of encoding again."""
+    result = result_from_wire(wire)
+    result.__dict__["_wire"] = wire
+    return result
+
+
+class _WireShard(_Shard):
+    """A shard behind a transport: each op is one metered round-trip.
+
+    The call lock serialises transport use (one request in flight per
+    shard — cross-shard parallelism is the scaling axis, and it also
+    gives each shard a strict solve → invalidate ordering) unless the
+    transport multiplexes (``muxed``), in which case the dispatch queue
+    gets real width.  ``epoch`` increments on every worker swap (local
+    restart); a caller that saw a failure on epoch *e* only triggers
+    recovery if the shard is still on epoch *e*, so concurrent failures
+    cause one restart, not a stampede.
+    """
+
+    muxed = False
+
+    def __init__(self, index: int, transport, metrics: MetricsRegistry,
+                 request_timeout: Optional[float],
+                 queue_width: int = 1) -> None:
+        super().__init__(index, queue_width)
+        self.transport = transport
+        self.metrics = metrics  # the owning broker's registry
+        self.request_timeout = request_timeout
+        self.lock = threading.Lock()
+        self.calls = 0  # guarded-by: lock
+        self.restarts = 0  # guarded-by: lock
+        self.epoch = 0  # guarded-by: lock
+        self._stats_lock = threading.Lock()
+        self.failures = 0  # guarded-by: _stats_lock
+        self.timeouts = 0  # guarded-by: _stats_lock
+        # the shard's cache generation as a monotone lower bound learned
+        # from its replies ("gen" rides on every one): a lag only makes
+        # a replicated put reject safely, never land stale
+        self._known_gen: Optional[int] = None  # guarded-by: _stats_lock
+        self.ejected = False
+        self.dead = False
+
+    @property
+    def kind(self) -> str:
+        return self.transport.kind
+
+    @property
+    def address(self) -> str:
+        return self.transport.address
+
+    # ------------------------------------------------------------------
+    # the round-trip
+    # ------------------------------------------------------------------
     def call(self, msg: Dict[str, Any],
              timeout: Optional[float] = None) -> Dict[str, Any]:
-        with self.lock:
-            self.calls += 1
-        # the round-trip happens OUTSIDE the lock — that is the whole
-        # point of the multiplexed transport
-        reply = self.transport.request(msg, timeout=timeout)
+        """One raw round-trip; worker-side errors become exceptions."""
+        if self.muxed:
+            with self.lock:
+                self.calls += 1
+            # the round-trip happens OUTSIDE the lock — that is the
+            # whole point of the multiplexed transport
+            reply = self.transport.request(msg, timeout=timeout)
+        else:
+            with self.lock:
+                self.calls += 1
+                reply = self.transport.request(msg, timeout=timeout)
         if not reply.get("ok"):
             raise _raise_worker_error(reply, shard=self.index)
         return reply
+
+    def request(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+        """One metered call; transport failures trigger recovery and
+        re-raise as typed :class:`ShardUnavailableError`\\ s."""
+        endpoint = f"transport.{self.transport.kind}"
+        # a stale read only makes the recovery below a no-op
+        epoch = self.epoch  # repro-lint: allow(locks)
+        timeout = self.request_timeout
+        if timeout is not None and msg.get("op") == "solve_many":
+            # request_timeout is a PER-REQUEST budget; a solve_many
+            # round-trip carries a whole sub-batch, so the wait scales
+            # with it — otherwise any batch longer than one budget would
+            # deterministically "time out" a healthy shard and wipe its
+            # warm state
+            timeout *= max(1, len(msg.get("items", ())))
+        if timeout is not None and self.muxed:
+            # multiplexed shard: ship the budget as a server-side
+            # deadline and wait a little longer client-side, so the
+            # *shard* answers the deadline miss (promptly, channel
+            # intact) rather than this end guessing and abandoning a
+            # healthy connection
+            msg = {**msg, "deadline": timeout}
+            timeout = timeout + max(1.0, timeout * 0.5)
+        with span(endpoint, shard=self.index, address=self.address,
+                  op=msg.get("op")) as sp:
+            start = time.perf_counter()
+            try:
+                reply = self.call(msg, timeout=timeout)
+            except ShardTimeoutError:
+                # server-reported deadline miss (call minted it from the
+                # reply): the shard is alive and the channel is fine —
+                # count the timeout, never eject or restart
+                self.metrics.observe(endpoint, time.perf_counter() - start,
+                                     error=True)
+                with self._stats_lock:
+                    self.timeouts += 1
+                log_event("shard.deadline", shard=self.index,
+                          kind=self.kind, address=self.address,
+                          op=msg.get("op"))
+                raise
+            except TransportError as exc:
+                self.metrics.observe(endpoint, time.perf_counter() - start,
+                                     error=True)
+                timed_out = isinstance(exc, TransportTimeout)
+                self._failed(epoch, timeout=timed_out)
+                cls = ShardTimeoutError if timed_out else \
+                    ShardUnavailableError
+                raise cls(f"shard {self.index} ({self.address}): {exc}",
+                          shard=self.index) from exc
+            rtt = time.perf_counter() - start
+            self.metrics.observe(endpoint, rtt)
+            gen = reply.get("gen")
+            if isinstance(gen, int):
+                with self._stats_lock:
+                    if self._known_gen is None or gen > self._known_gen:
+                        self._known_gen = gen
+            if sp is not None:
+                # re-parent shard-side span trees (single replies and
+                # solve_many items alike) into this caller's trace
+                remote = reply.get("trace")
+                if remote:
+                    graft_remote(sp, remote.get("spans", []), rtt)
+                for item in reply.get("results", ()):
+                    item_trace = item.get("trace") if isinstance(item, dict) \
+                        else None
+                    if item_trace:
+                        graft_remote(sp, item_trace.get("spans", []), rtt)
+            return reply
+
+    def _failed(self, epoch: int, timeout: bool = False) -> None:
+        """Count one failure and recover (restart or eject)."""
+        with self._stats_lock:
+            self.failures += 1
+            if timeout:
+                self.timeouts += 1
+        log_event("shard.timeout" if timeout else "shard.failure",
+                  shard=self.index, kind=self.kind, address=self.address)
+        self._recover(epoch)
+
+    def _recover(self, epoch: int) -> None:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # the object-level ops
+    # ------------------------------------------------------------------
+    def solve(self, request: SolveRequest, fp: str) -> BrokerResult:
+        from .api import _request_wire  # deferred: avoid import cycle
+
+        # the memoized read-only encoding: re-sends never re-encode the
+        # platform, whichever shard (or failover stand-in) receives it
+        msg = {"op": "solve", "fp": fp, "request": _request_wire(request)}
+        if current_span() is not None:
+            msg["trace"] = True  # ask the shard for its span tree
+        return _decoded(self.request(msg)["result"])
+
+    def submit(self, request: SolveRequest, fp: str,
+               run: Callable[[], BrokerResult]) -> "Future[BrokerResult]":
+        # the caller's span follows the request onto the dispatch thread
+        return self.executor.submit(_activated, current_span(), run)
+
+    def solve_many(self, requests: List[SolveRequest],
+                   fps: List[str]) -> List[Any]:
+        from .api import _request_wire  # deferred: avoid import cycle
+
+        traced = {"trace": True} if current_span() is not None else {}
+        reply = self.request({"op": "solve_many", "items": [
+            {"fp": fp, "request": _request_wire(request), **traced}
+            for request, fp in zip(requests, fps)
+        ]})
+        return [_decoded(item["result"]) if item.get("ok")
+                else _raise_worker_error(item, shard=self.index)
+                for item in reply["results"]]
+
+    def put(self, entries: List[PutEntry]) -> "Future[Tuple[int, int]]":
+        # off the reply path: queued behind this shard's other work
+        return self.executor.submit(_activated, current_span(),
+                                    self._put_now, entries)
+
+    def _put_now(self, entries: List[PutEntry]) -> Tuple[int, int]:
+        from .api import _request_wire  # deferred: avoid import cycle
+
+        wire_entries = []
+        for fp, result, request, gen in entries:
+            entry = {"fp": fp,
+                     "result": result.__dict__.get("_wire")
+                     or result_to_wire(result),
+                     "platform": _request_wire(request)["platform"]}
+            if gen is not None:
+                # without one the shard skips the put, and its reply
+                # seeds the bound for the next
+                entry["gen"] = gen
+            wire_entries.append(entry)
+        with span("ring.replicate", shard=self.index, entries=len(entries)):
+            try:
+                reply = self.request({"op": "put", "entries": wire_entries})
+            except ShardError:
+                return 0, len(entries)
+        return (reply.get("stored", 0),
+                reply.get("stale", 0) + reply.get("skipped", 0))
+
+    def invalidate(self, platform: Platform) -> int:
+        return self.request({"op": "invalidate",
+                             "platform": platform_to_dict(platform)})[
+                                 "removed"]
+
+    def clear(self) -> int:
+        return self.request({"op": "clear"})["cleared"]
+
+    def snapshot(self) -> Dict[str, Any]:
+        return self.request({"op": "snapshot"})["snapshot"]
+
+    def generation(self) -> Optional[int]:
+        with self._stats_lock:
+            return self._known_gen
+
+    def probe(self) -> bool:
+        if self.dead:
+            return False  # local respawn failed: permanent until close
+        if self.ejected:
+            # rejoin probe; TcpTransport reconnects lazily, so a ping
+            # answered means the host is back.  Clear before re-admitting:
+            # invalidations fanned out during the outage skipped this
+            # shard, so whatever it still caches may be stale.
+            if not self.transport.ping(timeout=_PING_TIMEOUT):
+                return False
+            try:
+                with self.lock:
+                    self.transport.request({"op": "clear"},
+                                           timeout=_PING_TIMEOUT)
+            except TransportError:
+                return False  # came back and vanished again; retry later
+            self.ejected = False
+            log_event("shard.rejoin", shard=self.index,
+                      address=self.address)
+            return True
+        # a busy shard holds its lock mid-request: that is proof of life,
+        # and probing through the same channel would interleave frames
+        if not self.lock.acquire(blocking=False):
+            return False
+        try:
+            epoch = self.epoch  # repro-lint: allow(locks) — held above
+            alive = self.transport.ping(timeout=_PING_TIMEOUT)
+        finally:
+            self.lock.release()
+        if not alive:
+            self._failed(epoch)
+        return False
+
+    def stop(self) -> None:
+        self.executor.shutdown(wait=True)  # drain queued dispatches first
+        self.transport.close()
+
+
+class _PipeShard(_WireShard):
+    """A pipe shard: worker process spawned (and respawned) by us."""
+
+    restartable = True
+
+    def __init__(self, index: int, ctx, cache_size: int,
+                 ttl: Optional[float], incremental: bool,
+                 metrics: MetricsRegistry,
+                 request_timeout: Optional[float]) -> None:
+        self._spawn = functools.partial(spawn_pipe_shard, ctx, cache_size,
+                                        ttl, incremental)
+        super().__init__(index, self._spawn(), metrics, request_timeout)
+
+    @property
+    def process(self):
+        return self.transport.process
+
+    def _recover(self, epoch: int) -> None:
+        """Swap in a fresh worker, unless another thread already did."""
+        with self.lock:
+            if self.epoch == epoch:
+                try:
+                    # the worker is dead or wedged: skip the stop
+                    # handshake's grace and terminate straight away
+                    self.transport.close(stop_timeout=0.2)
+                except Exception:  # noqa: BLE001 — already beyond saving
+                    pass
+                try:
+                    self.transport = self._spawn()
+                    self.epoch += 1
+                    self.restarts += 1
+                except Exception:  # noqa: BLE001 — respawn failed: dead
+                    self.dead = True
+        log_event("shard.restart", shard=self.index, usable=not self.dead)
+
+
+class _RemoteShard(_WireShard):
+    """A TCP shard on another host; we supervise membership, not life.
+
+    ``muxed`` reaches it over the multiplexed async bridge: calls skip
+    the lock, so many of this broker's threads keep requests in flight
+    on one connection (the lock still guards the counters and the
+    prober's rejoin handshake)."""
+
+    def __init__(self, index: int, address: str, metrics: MetricsRegistry,
+                 request_timeout: Optional[float], muxed: bool = False,
+                 connect_timeout: float = 5.0) -> None:
+        self.muxed = muxed
+        super().__init__(
+            index,
+            (connect_async if muxed else connect)(address, connect_timeout),
+            metrics, request_timeout,
+            queue_width=ASYNC_SHARD_WIDTH if muxed else 1,
+        )
+
+    def _recover(self, epoch: int) -> None:
+        self.ejected = True
+        log_event("shard.eject", shard=self.index, address=self.address)
 
 
 # ----------------------------------------------------------------------
@@ -485,11 +794,6 @@ class _AggregateCacheView:
         )
 
 
-#: health-probe request budget: pings and rejoin clears are cheap ops,
-#: so a shard that cannot answer within this is treated as down
-_PING_TIMEOUT = 2.0
-
-
 @dataclass
 class _HotContext:
     """Everything captured *before* a hot request is dispatched.
@@ -506,10 +810,9 @@ class _HotContext:
     replicas: Optional[List[int]] = None
     #: the replica chosen to serve this request (rotation over replicas)
     target: Optional[int] = None
-    #: shard id -> that replica's cache generation at solve start; in
-    #: transport mode a monotone lower bound learned from shard replies
-    #: (an entry may be absent when nothing was learned yet — the put is
-    #: then skipped shard-side and the reply seeds the bound)
+    #: shard id -> that replica's :meth:`_Shard.generation` at solve
+    #: start (``None`` when a wire shard has not replied yet — the put
+    #: is then skipped and the shard's next reply seeds the bound)
     generations: Dict[int, Optional[int]] = field(default_factory=dict)
     near_generation: Optional[int] = None
 
@@ -688,34 +991,26 @@ class ShardedBroker:
         self.replica_put_rejects = 0  # guarded-by: _rep_lock
         # hot reads served by a non-primary replica (rotation working)
         self.replica_reads = 0  # guarded-by: _rep_lock
-        # per-shard cache-generation lower bounds learned from transport
-        # replies ("gen" rides on every shard reply); monotone, so a lag
-        # only makes a replicated put reject safely, never land stale
-        self._known_gens: Dict[int, int] = {}  # guarded-by: _rep_lock
         # in-flight replica put dispatches (drained by flush_replication)
         self._put_futures: Set[Future] = set()  # guarded-by: _rep_lock
-        self._thread_shards: List[Broker] = []
-        self._transport_shards: List[_TransportShard] = []
+        self._shards: List[_Shard]
         if shard_mode == "thread":
-            self._thread_shards = [
-                Broker(
-                    cache=SolutionCache(max_size=cache_size, ttl=ttl),
-                    workers=self.workers,
-                    executor="thread",
-                    incremental=incremental,
-                )
-                for _ in range(self.ring.shards)
+            self._shards = [
+                _InProcessShard(index, cache_size, ttl, self.workers,
+                                incremental)
+                for index in range(self.ring.shards)
             ]
         else:
             ctx = (multiprocessing.get_context(mp_start_method)
                    if mp_start_method else multiprocessing.get_context())
-            remote_cls = (_AsyncRemoteShard if self.async_transport
-                          else _RemoteShard)
-            self._transport_shards = [
-                _LocalShard(index, ctx, cache_size, ttl, incremental)
+            self._shards = [
+                _PipeShard(index, ctx, cache_size, ttl, incremental,
+                           self.metrics, self.request_timeout)
                 for index in range(local_count)
             ] + [
-                remote_cls(local_count + offset, address)
+                _RemoteShard(local_count + offset, address, self.metrics,
+                             self.request_timeout,
+                             muxed=self.async_transport)
                 for offset, address in enumerate(addresses)
             ]
         if health_interval is None:
@@ -724,7 +1019,7 @@ class ShardedBroker:
                                 if health_interval > 0 else None)
         self._stop_event = threading.Event()
         self._health_thread: Optional[threading.Thread] = None
-        if self._transport_shards and self.health_interval:
+        if self.health_interval:
             self._health_thread = threading.Thread(
                 target=self._health_loop,
                 name="repro-shard-health",
@@ -744,9 +1039,9 @@ class ShardedBroker:
 
     @property
     def ipc_round_trips(self) -> int:
-        """Total transport round-trips across all pipe/TCP shards (0 in
-        thread mode) — what ``solve_many`` batching is measured by."""
-        return sum(shard.calls for shard in self._transport_shards)
+        """Total transport round-trips across all shards (0 in thread
+        mode) — what ``solve_many`` batching is measured by."""
+        return sum(shard.calls for shard in self._shards)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -758,9 +1053,7 @@ class ShardedBroker:
         self._stop_event.set()
         if self._health_thread is not None:
             self._health_thread.join(timeout=10.0)
-        for broker in self._thread_shards:
-            broker.close()
-        for shard in self._transport_shards:
+        for shard in self._shards:
             shard.stop()
 
     def __enter__(self) -> "ShardedBroker":
@@ -769,120 +1062,12 @@ class ShardedBroker:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # transport dispatch: metered calls, recovery, ring failover
-    # ------------------------------------------------------------------
-    def _shard_call(self, shard: _TransportShard,
-                    msg: Dict[str, Any]) -> Dict[str, Any]:
-        """One metered call; transport failures trigger recovery and
-        re-raise as typed :class:`ShardUnavailableError`\\ s."""
-        endpoint = f"transport.{shard.transport.kind}"
-        epoch = shard.epoch
-        timeout = self.request_timeout
-        if timeout is not None and msg.get("op") == "solve_many":
-            # request_timeout is a PER-REQUEST budget; a solve_many
-            # round-trip carries a whole sub-batch, so the wait scales
-            # with it — otherwise any batch longer than one budget would
-            # deterministically "time out" a healthy shard and wipe its
-            # warm state
-            timeout *= max(1, len(msg.get("items", ())))
-        if timeout is not None and shard.muxed:
-            # multiplexed shard: ship the budget as a server-side
-            # deadline and wait a little longer client-side, so the
-            # *shard* answers the deadline miss (promptly, channel
-            # intact) rather than this end guessing and abandoning a
-            # healthy connection
-            msg = {**msg, "deadline": timeout}
-            timeout = timeout + max(1.0, timeout * 0.5)
-        with span(endpoint, shard=shard.index,
-                  address=shard.transport.address,
-                  op=msg.get("op")) as sp:
-            start = time.perf_counter()
-            try:
-                reply = shard.call(msg, timeout=timeout)
-            except ShardTimeoutError as exc:
-                # server-reported deadline miss (shard.call minted it
-                # from the reply): the shard is alive and the channel is
-                # fine — count the timeout, never eject or restart
-                self.metrics.observe(endpoint, time.perf_counter() - start,
-                                     error=True)
-                with self._health_lock:
-                    shard.timeouts += 1
-                log_event("shard.deadline", shard=shard.index,
-                          kind=shard.transport.kind,
-                          address=shard.transport.address,
-                          op=msg.get("op"))
-                raise
-            except TransportTimeout as exc:
-                self.metrics.observe(endpoint, time.perf_counter() - start,
-                                     error=True)
-                self._note_transport_failure(shard, epoch, timeout=True)
-                raise ShardTimeoutError(
-                    f"shard {shard.index} ({shard.transport.address}): "
-                    f"{exc}",
-                    shard=shard.index,
-                ) from exc
-            except TransportError as exc:
-                self.metrics.observe(endpoint, time.perf_counter() - start,
-                                     error=True)
-                self._note_transport_failure(shard, epoch)
-                raise ShardUnavailableError(
-                    f"shard {shard.index} ({shard.transport.address}): "
-                    f"{exc}",
-                    shard=shard.index,
-                ) from exc
-            rtt = time.perf_counter() - start
-            self.metrics.observe(endpoint, rtt)
-            gen = reply.get("gen")
-            if isinstance(gen, int):
-                self._note_generation(shard.index, gen)
-            if sp is not None:
-                # re-parent shard-side span trees (single replies and
-                # solve_many items alike) into this caller's trace
-                remote = reply.get("trace")
-                if remote:
-                    graft_remote(sp, remote.get("spans", []), rtt)
-                for item in reply.get("results", ()):
-                    item_trace = item.get("trace") if isinstance(item, dict) \
-                        else None
-                    if item_trace:
-                        graft_remote(sp, item_trace.get("spans", []), rtt)
-            return reply
-
-    def _note_transport_failure(self, shard: _TransportShard, epoch: int,
-                                timeout: bool = False) -> None:
-        """Count one failure and recover the shard: local shards get one
-        automatic restart, remote shards are ejected until the health
-        probe sees them answer again."""
-        with self._health_lock:
-            shard.failures += 1
-            if timeout:
-                shard.timeouts += 1
-        log_event("shard.timeout" if timeout else "shard.failure",
-                  shard=shard.index, kind=shard.transport.kind,
-                  address=shard.transport.address)
-        if shard.restartable:
-            usable = shard.restart(epoch)  # marks dead if respawn fails
-            log_event("shard.restart", shard=shard.index, usable=usable)
-        else:
-            shard.ejected = True
-            log_event("shard.eject", shard=shard.index,
-                      address=shard.transport.address)
-
     def _inactive_ids(self) -> set:
-        return {s.index for s in self._transport_shards if not s.active}
+        return {s.index for s in self._shards if not s.active}
 
     # ------------------------------------------------------------------
     # hot-key machinery: heat, near-cache, replica fan-out
     # ------------------------------------------------------------------
-    def _note_generation(self, shard_id: int, gen: int) -> None:
-        """Raise the learned generation lower bound for a shard (every
-        transport reply carries the shard's current cache generation)."""
-        with self._rep_lock:
-            prev = self._known_gens.get(shard_id)
-            if prev is None or gen > prev:
-                self._known_gens[shard_id] = gen
-
     def _record_heat(self, fp: str) -> int:
         """Count one lookup; 0 when heat tracking is disabled."""
         return self._heat.record(fp) if self._heat is not None else 0
@@ -938,17 +1123,8 @@ class ShardedBroker:
             if len(replica_ids) > 1:
                 ctx.replicas = replica_ids
                 ctx.target = replica_ids[count % len(replica_ids)]
-                if self._thread_shards:
-                    ctx.generations = {
-                        sid: self._thread_shards[sid].cache.generation
-                        for sid in replica_ids
-                    }
-                else:
-                    with self._rep_lock:
-                        ctx.generations = {
-                            sid: self._known_gens.get(sid)
-                            for sid in replica_ids
-                        }
+                ctx.generations = {sid: self._shards[sid].generation()
+                                   for sid in replica_ids}
         if self._near_cache is not None:
             ctx.near_generation = self._near_cache.generation
         return ctx
@@ -961,17 +1137,15 @@ class ShardedBroker:
 
     def _propagate(self, request: SolveRequest, fp: str,
                    result: BrokerResult, ctx: Optional[_HotContext],
-                   wire_result: Optional[Dict[str, Any]] = None,
                    entry_sink: Optional[
-                       Dict[int, List[Dict[str, Any]]]] = None) -> None:
+                       Dict[int, List[PutEntry]]] = None) -> None:
         """Fan a hot solution out: near-cache admission plus writes to
         the replicas that missed it, each put guarded by the generation
         captured at solve start (:class:`_HotContext`).
 
-        ``entry_sink`` (transport mode) collects the put entries instead
-        of dispatching them, so a batch fans all its hot keys to a shard
-        in ONE round-trip — the ``solve_many`` batching discipline
-        applied to replication.
+        ``entry_sink`` collects the put entries instead of dispatching
+        them, so a batch fans all its hot keys to a shard in ONE put —
+        the ``solve_many`` batching discipline applied to replication.
         """
         if ctx is None:
             return
@@ -982,87 +1156,42 @@ class ShardedBroker:
                      generation=ctx.near_generation)
         if not ctx.replicas:
             return
-        if self._thread_shards:
-            with span("ring.replicate", fingerprint=fp[:12],
-                      replicas=len(ctx.replicas)):
-                for sid in ctx.replicas:
-                    if sid == ctx.target:
-                        continue
-                    gen = ctx.generations.get(sid)
-                    if gen is None:
-                        # no captured generation — an unguarded put could
-                        # land stale, so it must not happen
-                        with self._rep_lock:
-                            self.replica_put_rejects += 1
-                        continue
-                    cache = self._thread_shards[sid].cache
-                    if cache.peek(fp) is not None:
-                        continue
-                    stored = cache.put(fp, result.solution, request.platform,
-                                       schedule=result.schedule,
-                                       generation=gen)
-                    with self._rep_lock:
-                        if stored is not None:
-                            self.replicated_puts += 1
-                        else:
-                            self.replica_put_rejects += 1
-            return
-        if wire_result is None:
-            return  # failover re-dispatch path: nothing to fan out
-        entries_by_shard: Dict[int, List[Dict[str, Any]]] = (
+        entries_by_shard: Dict[int, List[PutEntry]] = (
             {} if entry_sink is None else entry_sink
         )
-        encoded = platform_to_dict(request.platform)
         for sid in ctx.replicas:
-            if sid == ctx.target:
-                continue
-            entry = {"fp": fp, "result": wire_result, "platform": encoded}
-            gen = ctx.generations.get(sid)
-            if gen is not None:
-                entry["gen"] = gen
-            entries_by_shard.setdefault(sid, []).append(entry)
+            if sid != ctx.target:
+                entries_by_shard.setdefault(sid, []).append(
+                    (fp, result, request, ctx.generations.get(sid)))
         if entry_sink is None:
             self._dispatch_puts(entries_by_shard)
 
-    def _dispatch_puts(
-        self, entries_by_shard: Dict[int, List[Dict[str, Any]]]
-    ) -> None:
-        """Queue batched replica puts on each shard's own dispatch
-        queue — fire-and-forget from the solve path (the reply already
-        went to the caller), drainable via :meth:`flush_replication`."""
-        parent = current_span()
+    def _dispatch_puts(self,
+                       entries_by_shard: Dict[int, List[PutEntry]]) -> None:
+        """Hand replica puts to their shards — landed before this
+        returns on in-process shards, fire-and-forget on the dispatch
+        queue of wire shards (the reply already went to the caller),
+        drainable via :meth:`flush_replication`."""
         for sid, entries in entries_by_shard.items():
-            shard = self._transport_shards[sid]
+            shard = self._shards[sid]
             if not shard.active:
                 with self._rep_lock:
                     self.replica_put_rejects += len(entries)
                 continue
-            fut = shard.executor.submit(self._run_put, shard, entries,
-                                        parent)
+            fut = shard.put(entries)
             with self._rep_lock:
                 self._put_futures.add(fut)
-            fut.add_done_callback(self._discard_put_future)
+            fut.add_done_callback(self._put_landed)
 
-    def _discard_put_future(self, fut: Future) -> None:
+    def _put_landed(self, fut: Future) -> None:
+        try:
+            stored, rejected = fut.result()
+        except Exception:  # noqa: BLE001 — replication is best-effort
+            stored = rejected = 0
         with self._rep_lock:
             self._put_futures.discard(fut)
-
-    def _run_put(self, shard: _TransportShard,
-                 entries: List[Dict[str, Any]], parent) -> None:
-        with activate(parent):
-            with span("ring.replicate", shard=shard.index,
-                      entries=len(entries)):
-                try:
-                    reply = self._shard_call(
-                        shard, {"op": "put", "entries": entries})
-                except ShardError:
-                    with self._rep_lock:
-                        self.replica_put_rejects += len(entries)
-                    return
-        with self._rep_lock:
-            self.replicated_puts += reply.get("stored", 0)
-            self.replica_put_rejects += (reply.get("stale", 0)
-                                         + reply.get("skipped", 0))
+            self.replicated_puts += stored
+            self.replica_put_rejects += rejected
 
     def flush_replication(self, timeout: Optional[float] = None) -> int:
         """Block until queued replica puts land; returns how many
@@ -1074,9 +1203,12 @@ class ShardedBroker:
             wait(pending, timeout=timeout)
         return len(pending)
 
-    def _routed_call(self, fp: str, msg: Dict[str, Any],
-                     prefer: Optional[int] = None) -> Dict[str, Any]:
-        """Route to the fingerprint's shard with automatic failover.
+    # ------------------------------------------------------------------
+    # routing with failover
+    # ------------------------------------------------------------------
+    def _routed_call(self, fp: str, call: Callable[[_Shard], Any],
+                     prefer: Optional[int] = None) -> Any:
+        """``call(shard)`` on the fingerprint's shard, with failover.
 
         ``prefer`` names the shard to try first (a hot key's rotating
         replica); failover from it walks the ring exactly as before.  A
@@ -1100,11 +1232,11 @@ class ShardedBroker:
                     raise first_error or ShardError(
                         "no shards available (all ejected or dead)"
                     )
-            shard = self._transport_shards[shard_id]
+            shard = self._shards[shard_id]
             retried_fresh_worker = False
             while True:
                 try:
-                    return self._shard_call(shard, msg)
+                    return call(shard)
                 except ShardUnavailableError as exc:
                     if exc.server_reported:
                         # the shard is alive and answered within budget
@@ -1148,28 +1280,18 @@ class ShardedBroker:
         near = self._near_lookup(request, fp)
         if near is not None:
             return near
-        ctx = self._hot_context(fp, count)
-        if self._thread_shards:
-            if ctx is not None and ctx.replicas:
-                shard_id = ctx.target
-            else:
-                shard_id = self.ring.route(fp)
-            self._count_replica_read(ctx)
-            with span("shard.solve", shard=shard_id, mode="thread"):
-                result = self._thread_shards[shard_id].solve(request)
-            self._propagate(request, fp, result, ctx)
-            return result
-        return self._transport_solve(request, fp, ctx)
+        return self._transport_solve(request, fp,
+                                     self._hot_context(fp, count))
 
     def submit(self, request: SolveRequest) -> "Future[BrokerResult]":
-        """Asynchronous solve on the owning shard.
+        """Asynchronous solve on the owning shard's dispatch queue.
 
-        Thread mode keeps the shard broker's in-flight coalescing:
+        Thread shards keep their broker's in-flight coalescing:
         identical concurrent requests always route to the same shard, so
         they still share one LP (a hot key's rotation step changes the
         target only every ``len(replicas)`` lookups, and the replicas
-        serve repeats from their own caches).  Transport mode serialises
-        per shard (the channel), so a duplicate behind an in-flight twin
+        serve repeats from their own caches).  Wire shards serialise per
+        shard (the channel), so a duplicate behind an in-flight twin
         resolves as a cache hit instead.
         """
         fp = request.fingerprint()
@@ -1180,42 +1302,9 @@ class ShardedBroker:
             done.set_result(near)
             return done
         ctx = self._hot_context(fp, count)
-        if self._thread_shards:
-            if ctx is not None and ctx.replicas:
-                shard_id = ctx.target
-            else:
-                shard_id = self.ring.route(fp)
-            self._count_replica_read(ctx)
-            fut = self._thread_shards[shard_id].submit(request)
-            if ctx is not None:
-                fut.add_done_callback(
-                    lambda f: self._propagate_future(request, fp, ctx, f))
-            return fut
-        shard = self._transport_shards[self._queue_shard_id(fp, ctx)]
-        # the caller's span must follow the request onto the shard's
-        # dispatch thread (where the transport span is opened)
-        parent = current_span()
-        return shard.executor.submit(self._dispatch_solve, request, fp,
-                                     parent, ctx)
-
-    def _propagate_future(self, request: SolveRequest, fp: str,
-                          ctx: _HotContext,
-                          fut: "Future[BrokerResult]") -> None:
-        """Fan out a hot async solve once it lands (runs on the shard's
-        worker thread; put failures must never surface to the waiter)."""
-        try:
-            result = fut.result()
-        except Exception:  # noqa: BLE001 — the solve failed; caller sees it
-            return
-        try:
-            self._propagate(request, fp, result, ctx)
-        except Exception:  # noqa: BLE001 — replication is best-effort
-            pass
-
-    def _dispatch_solve(self, request: SolveRequest, fp: str, parent,
-                        ctx: Optional[_HotContext] = None) -> BrokerResult:
-        with activate(parent):
-            return self._transport_solve(request, fp, ctx)
+        shard = self._shards[self._queue_shard_id(fp, ctx)]
+        return shard.submit(request, fp, functools.partial(
+            self._transport_solve, request, fp, ctx))
 
     def _queue_shard_id(self, fp: str,
                         ctx: Optional[_HotContext] = None) -> int:
@@ -1232,32 +1321,21 @@ class ShardedBroker:
 
     def _transport_solve(self, request: SolveRequest, fp: str,
                          ctx: Optional[_HotContext] = None) -> BrokerResult:
-        from .api import _request_wire  # deferred: avoid import cycle
-
-        # the memoized read-only encoding: re-sends never re-encode the
-        # platform, whichever shard (or failover stand-in) receives it
-        msg = {
-            "op": "solve",
-            "fp": fp,
-            "request": _request_wire(request),
-        }
-        if current_span() is not None:
-            msg["trace"] = True  # ask the shard for its span tree
+        """The routed solve: the preferred replica or the live owner,
+        failover, then the hot-key fan-out."""
         prefer = ctx.target if ctx is not None else None
         self._count_replica_read(ctx)
-        reply = self._routed_call(fp, msg, prefer=prefer)
-        result = result_from_wire(reply["result"])
-        self._propagate(request, fp, result, ctx,
-                        wire_result=reply["result"])
+        result = self._routed_call(
+            fp, lambda shard: shard.solve(request, fp), prefer=prefer)
+        self._propagate(request, fp, result, ctx)
         return result
 
     def solve_batch(self, requests: List[SolveRequest]) -> List[BrokerResult]:
         """Fan a mixed batch out across shards; order preserved.
 
-        Transport shards receive ONE ``solve_many`` message per shard
-        (the whole sub-batch crosses in a single round-trip instead of
-        one per request — the IPC/network cost that dominates hit-heavy
-        workloads); thread shards keep the in-process submit path.  A
+        Each shard receives its whole sub-batch as ONE ``solve_many``
+        (a single round-trip on a wire shard instead of one per request
+        — the IPC/network cost that dominates hit-heavy workloads).  A
         sub-batch whose shard dies mid-call fails over: its requests are
         re-dispatched individually through the ring, so a killed shard
         loses no requests.  As with
@@ -1266,103 +1344,71 @@ class ShardedBroker:
         error isolation submit individually.
         """
         with self.metrics.timer("solve.batch"):
-            if self._thread_shards:
-                futures = [self.submit(request) for request in requests]
-                return [fut.result() for fut in futures]
-            return self._transport_solve_batch(requests)
-
-    def _dispatch_call(self, shard: _TransportShard, msg: Dict[str, Any],
-                       parent) -> Dict[str, Any]:
-        with activate(parent):
-            return self._shard_call(shard, msg)
-
-    def _transport_solve_batch(
-        self, requests: List[SolveRequest]
-    ) -> List[BrokerResult]:
-        from .api import _request_wire  # deferred: avoid import cycle
-
-        fps = [request.fingerprint() for request in requests]
-        parent = current_span()
-        traced = parent is not None
-        inactive = self._inactive_ids()
-        by_shard: Dict[Optional[int], List[int]] = {}
-        ctxs: Dict[int, Optional[_HotContext]] = {}
-        outcomes: List[Any] = [None] * len(requests)
-        for index, fp in enumerate(fps):
-            count = self._record_heat(fp)
-            near = self._near_lookup(requests[index], fp)
-            if near is not None:
-                outcomes[index] = near  # served before touching a shard
-                continue
-            ctx = self._hot_context(fp, count)
-            ctxs[index] = ctx
-            if ctx is not None and ctx.target is not None:
-                self._count_replica_read(ctx)
-                owner: Optional[int] = ctx.target
-            else:
+            fps = [request.fingerprint() for request in requests]
+            parent = current_span()
+            inactive = self._inactive_ids()
+            by_shard: Dict[Optional[int], List[int]] = {}
+            ctxs: Dict[int, Optional[_HotContext]] = {}
+            outcomes: List[Any] = [None] * len(requests)
+            for index, fp in enumerate(fps):
+                count = self._record_heat(fp)
+                near = self._near_lookup(requests[index], fp)
+                if near is not None:
+                    outcomes[index] = near  # served before touching a shard
+                    continue
+                ctx = self._hot_context(fp, count)
+                ctxs[index] = ctx
+                if ctx is not None and ctx.target is not None:
+                    self._count_replica_read(ctx)
+                    owner: Optional[int] = ctx.target
+                else:
+                    try:
+                        owner = self.ring.route(fp, skip=inactive)
+                    except ValueError:
+                        owner = None  # nothing live: the retry path raises
+                by_shard.setdefault(owner, []).append(index)
+            # one solve_many per shard, dispatched through the shard's own
+            # queue (ordered with its other work), all shards in parallel
+            futures = {
+                shard_id: self._shards[shard_id].executor.submit(
+                    _activated, parent, self._shards[shard_id].solve_many,
+                    [requests[i] for i in indices], [fps[i] for i in indices])
+                for shard_id, indices in by_shard.items()
+                if shard_id is not None
+            }
+            retry: List[int] = list(by_shard.get(None, ()))
+            fresh: List[int] = []
+            for shard_id, fut in futures.items():
+                indices = by_shard[shard_id]
                 try:
-                    owner = self.ring.route(fp, skip=inactive)
-                except ValueError:
-                    owner = None  # nothing live: the retry path will raise
-            by_shard.setdefault(owner, []).append(index)
-        # one solve_many per shard, dispatched through the shard's own
-        # queue (ordered with its other work), all shards in parallel
-        futures = {
-            shard_id: self._transport_shards[shard_id].executor.submit(
-                self._dispatch_call,
-                self._transport_shards[shard_id],
-                {
-                    "op": "solve_many",
-                    "items": [
-                        {"fp": fps[i], "request": _request_wire(requests[i]),
-                         **({"trace": True} if traced else {})}
-                        for i in indices
-                    ],
-                },
-                parent,
-            )
-            for shard_id, indices in by_shard.items()
-            if shard_id is not None
-        }
-        retry: List[int] = list(by_shard.get(None, ()))
-        for shard_id, indices in by_shard.items():
-            if shard_id is None:
-                continue
-            try:
-                reply = futures[shard_id].result()
-            except ShardUnavailableError as exc:
-                if exc.server_reported:
-                    raise  # the shard is alive; see _routed_call
-                # the shard died holding this whole sub-batch: fail its
-                # members over individually (recovery already ran)
-                retry.extend(indices)
-                with self._health_lock:
-                    self.failovers += 1
-                continue
-            for i, item in zip(indices, reply["results"]):
-                outcomes[i] = item
-        for i in sorted(retry):
-            outcomes[i] = self._transport_solve(requests[i], fps[i],
-                                                ctxs.get(i))
-        results: List[BrokerResult] = []
-        # hot keys fan out in ONE batched put per replica shard, not one
-        # round-trip per hot item
-        put_sink: Dict[int, List[Dict[str, Any]]] = {}
-        for index, item in enumerate(outcomes):
-            assert item is not None
-            if isinstance(item, BrokerResult):  # near hit / failover
-                results.append(item)
-                continue
-            if not item.get("ok"):
-                raise _raise_worker_error(item)
-            result = result_from_wire(item["result"])
-            results.append(result)
-            self._propagate(requests[index], fps[index], result,
-                            ctxs.get(index), wire_result=item["result"],
-                            entry_sink=put_sink)
-        if put_sink:
-            self._dispatch_puts(put_sink)
-        return results
+                    items = fut.result()
+                except ShardUnavailableError as exc:
+                    if exc.server_reported:
+                        raise  # the shard is alive; see _routed_call
+                    # the shard died holding this whole sub-batch: fail its
+                    # members over individually (recovery already ran)
+                    retry.extend(indices)
+                    with self._health_lock:
+                        self.failovers += 1
+                    continue
+                for i, item in zip(indices, items):
+                    outcomes[i] = item
+                fresh.extend(indices)
+            for i in sorted(retry):  # fans out by itself
+                outcomes[i] = self._transport_solve(requests[i], fps[i],
+                                                    ctxs.get(i))
+            for item in outcomes:
+                if isinstance(item, BaseException):
+                    raise item
+            # hot keys fan out in ONE batched put per replica shard, not
+            # one round-trip per hot item
+            put_sink: Dict[int, List[PutEntry]] = {}
+            for i in fresh:
+                self._propagate(requests[i], fps[i], outcomes[i],
+                                ctxs.get(i), entry_sink=put_sink)
+            if put_sink:
+                self._dispatch_puts(put_sink)
+            return outcomes
 
     # ------------------------------------------------------------------
     # invalidation + introspection
@@ -1386,16 +1432,9 @@ class ShardedBroker:
         """
         if self._near_cache is not None:
             self._near_cache.invalidate_platform(platform)
-        if self._thread_shards:
-            return sum(broker.invalidate_platform(platform)
-                       for broker in self._thread_shards)
-        encoded = platform_to_dict(platform)
-        return sum(
-            reply["removed"]
-            for _shard, reply in self._fanout({"op": "invalidate",
-                                               "platform": encoded})
-            if reply is not None
-        )
+        return sum(removed for _shard, removed in
+                   self._fanout(lambda shard: shard.invalidate(platform))
+                   if removed is not None)
 
     def clear(self) -> int:
         """Drop every cached entry on every shard; returns entries removed.
@@ -1408,38 +1447,33 @@ class ShardedBroker:
         """
         if self._near_cache is not None:
             self._near_cache.clear()
-        if self._thread_shards:
-            return sum(broker.cache.clear()
-                       for broker in self._thread_shards)
-        return sum(reply["cleared"]
-                   for _shard, reply in self._fanout({"op": "clear"})
-                   if reply is not None)
+        return sum(cleared for _shard, cleared in
+                   self._fanout(lambda shard: shard.clear())
+                   if cleared is not None)
 
-    def _fanout(self, msg: Dict[str, Any]):
-        """Send one op to every *live* transport shard concurrently,
-        ahead of each shard's queued solves.
+    def _fanout(self, op: Callable[[_Shard], Any]):
+        """Run ``op(shard)`` on every *live* shard concurrently, ahead of
+        each shard's queued solves.
 
-        Transient threads contend on the shard locks directly rather
-        than joining the per-shard dispatch queues, so a metrics scrape
-        or an invalidation waits for (roughly) one in-flight call per
-        shard — not for a deep solve backlog to drain — and the shards
-        are visited in parallel, so the total wait is the slowest
-        shard's, not the sum.  Returns ``(shard, reply-or-None)`` pairs
+        Transient threads contend on the wire shards' locks directly
+        rather than joining the per-shard dispatch queues, so a metrics
+        scrape or an invalidation waits for (roughly) one in-flight call
+        per shard — not for a deep solve backlog to drain — and the
+        shards are visited in parallel, so the total wait is the slowest
+        shard's, not the sum.  Returns ``(shard, result-or-None)`` pairs
         in shard-id order; ``None`` marks a shard that failed at the
         transport level mid-fan-out (recovery already ran — it was
         restarted or ejected).  Worker-*reported* errors still raise:
         the shard is alive, the request itself is at fault.
         """
-        shards = [s for s in self._transport_shards if s.active]
+        shards = [s for s in self._shards if s.active]
         if not shards:
             return []
         with ThreadPoolExecutor(
             max_workers=len(shards),
             thread_name_prefix="repro-shard-fanout",
         ) as pool:
-            futures = [(shard, pool.submit(self._shard_call, shard,
-                                           dict(msg)))
-                       for shard in shards]
+            futures = [(shard, pool.submit(op, shard)) for shard in shards]
             out = []
             for shard, fut in futures:
                 try:
@@ -1451,36 +1485,26 @@ class ShardedBroker:
     def shard_snapshots(self) -> List[Optional[Dict[str, Any]]]:
         """Per-shard engine snapshots (``cache`` / ``metrics`` /
         ``incremental``), in shard-id order; ``None`` for shards that
-        are ejected, dead, or failed mid-scrape (transport shards are
-        queried concurrently — see :meth:`_fanout`)."""
-        if self._thread_shards:
-            # keys ride along so merged snapshots can deduplicate
-            # replicated entries (transport shards do the same server-side)
-            return [broker.engine.snapshot(include_keys=True)
-                    for broker in self._thread_shards]
-        snaps: List[Optional[Dict[str, Any]]] = (
-            [None] * len(self._transport_shards)
-        )
-        for shard, reply in self._fanout({"op": "snapshot"}):
-            if reply is not None:
-                snaps[shard.index] = reply["snapshot"]
+        are ejected, dead, or failed mid-scrape (shards are queried
+        concurrently — see :meth:`_fanout`)."""
+        snaps: List[Optional[Dict[str, Any]]] = [None] * len(self._shards)
+        for shard, snap in self._fanout(lambda shard: shard.snapshot()):
+            snaps[shard.index] = snap
         return snaps
 
     def shard_health(self) -> Dict[str, Any]:
         """Supervision counters + per-shard liveness (JSON-safe)."""
+        shards = [s.health() for s in self._shards]
+        out: Dict[str, Any] = {
+            f"shard_{key}": sum(h[key] for h in shards)
+            for key in ("failures", "timeouts", "restarts")
+        }
         with self._health_lock:
-            out: Dict[str, Any] = {
-                "shard_failures": sum(s.failures
-                                      for s in self._transport_shards),
-                "shard_timeouts": sum(s.timeouts
-                                      for s in self._transport_shards),
-                "shard_restarts": sum(s.restarts
-                                      for s in self._transport_shards),
-                "failovers": self.failovers,
-                "rejoins": self.rejoins,
-            }
-        out["shards"] = [s.health() for s in self._transport_shards]
+            out["failovers"] = self.failovers
+            out["rejoins"] = self.rejoins
+        out["shards"] = shards
         return out
+
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe aggregate state: merged cache counters, merged
@@ -1489,7 +1513,7 @@ class ShardedBroker:
         per-shard breakdown (unreachable shards flagged, not omitted)."""
         shard_snaps = self.shard_snapshots()
         present = [s for s in shard_snaps if s is not None]
-        coalesced = sum(b.coalesced for b in self._thread_shards)
+        coalesced = sum(shard.coalesced for shard in self._shards)
         # the front-door registry's uptime is the service's routing age;
         # remote shards start/restart/rejoin at their own times, so their
         # uptimes must not dilate the derived requests/sec
@@ -1500,9 +1524,8 @@ class ShardedBroker:
         per_shard = []
         for idx, s in enumerate(shard_snaps):
             if s is None:
-                shard = self._transport_shards[idx]
                 per_shard.append({"shard": idx, "unreachable": True,
-                                  **shard.health()})
+                                  **self._shards[idx].health()})
                 continue
             per_shard.append({
                 "shard": idx,
@@ -1594,44 +1617,13 @@ class ShardedBroker:
     # ------------------------------------------------------------------
     def _health_loop(self) -> None:
         while not self._stop_event.wait(self.health_interval):
-            for shard in self._transport_shards:
+            for shard in self._shards:
                 if self._closed:
                     return
                 try:
-                    self._health_check(shard)
+                    rejoined = shard.probe()
                 except Exception:  # noqa: BLE001 — the prober must live
-                    pass
-
-    def _health_check(self, shard: _TransportShard) -> None:
-        if shard.dead:
-            return  # local respawn failed: permanent until close
-        if shard.ejected:
-            # rejoin probe; TcpTransport reconnects lazily, so a ping
-            # answered means the host is back.  Clear before re-admitting:
-            # invalidations fanned out during the outage skipped this
-            # shard, so whatever it still caches may be stale.
-            if not shard.transport.ping(timeout=_PING_TIMEOUT):
-                return
-            try:
-                with shard.lock:
-                    shard.transport.request({"op": "clear"},
-                                            timeout=_PING_TIMEOUT)
-            except TransportError:
-                return  # came back and vanished again; next round retries
-            shard.ejected = False
-            with self._health_lock:
-                self.rejoins += 1
-            log_event("shard.rejoin", shard=shard.index,
-                      address=shard.transport.address)
-            return
-        # a busy shard holds its lock mid-request: that is proof of life,
-        # and probing through the same channel would interleave frames
-        if not shard.lock.acquire(blocking=False):
-            return
-        try:
-            epoch = shard.epoch
-            alive = shard.transport.ping(timeout=_PING_TIMEOUT)
-        finally:
-            shard.lock.release()
-        if not alive:
-            self._note_transport_failure(shard, epoch)
+                    continue
+                if rejoined:
+                    with self._health_lock:
+                        self.rejoins += 1

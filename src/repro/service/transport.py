@@ -318,13 +318,7 @@ class PipeTransport(Transport):
 
     def request(self, message: Dict[str, Any],
                 timeout: Optional[float] = None) -> Dict[str, Any]:
-        if self._closed:
-            raise TransportError("pipe transport is closed")
-        try:
-            self._conn.send(message)
-        except (OSError, ValueError, BrokenPipeError) as exc:
-            raise self._death_notice(exc) from exc
-        return self._read_reply(timeout)
+        return self.request_many([message], timeout=timeout)[0]
 
     def request_many(self, messages: List[Dict[str, Any]],
                      timeout: Optional[float] = None,
@@ -445,21 +439,7 @@ class TcpTransport(Transport):
 
     def request(self, message: Dict[str, Any],
                 timeout: Optional[float] = None) -> Dict[str, Any]:
-        sock = self._connected()
-        sock.settimeout(timeout)
-        try:
-            write_frame(sock, message)
-            return read_frame(sock)
-        except TimeoutError as exc:  # socket.timeout is an alias
-            self._drop()
-            raise TransportTimeout(
-                f"shard {self.address} sent no reply within {timeout}s"
-            ) from exc
-        except (TransportError, OSError) as exc:
-            self._drop()
-            raise TransportError(
-                f"shard {self.address} connection failed: {exc}"
-            ) from exc
+        return self.request_many([message], timeout=timeout)[0]
 
     def request_many(self, messages: List[Dict[str, Any]],
                      timeout: Optional[float] = None,
@@ -470,7 +450,7 @@ class TcpTransport(Transport):
             for message in messages:
                 write_frame(sock, message)
             return [read_frame(sock) for _ in messages]
-        except TimeoutError as exc:
+        except TimeoutError as exc:  # socket.timeout is an alias
             self._drop()
             raise TransportTimeout(
                 f"shard {self.address} sent no reply within {timeout}s"
@@ -504,15 +484,14 @@ def handle_shard_message(engine: SolveEngine,
     uniformly, which is what lets :class:`AsyncTcpTransport` pair
     out-of-order replies to requests.
     """
-    reply = _handle_shard_op(engine, msg)
+    reply = _with_generation(engine, _shard_op_reply(engine, msg))
     if "id" in msg:
         reply["id"] = msg["id"]
     return reply
 
 
-def _handle_shard_op(engine: SolveEngine,
-                     msg: Dict[str, Any]) -> Dict[str, Any]:
-    reply = _shard_op_reply(engine, msg)
+def _with_generation(engine: SolveEngine,
+                     reply: Dict[str, Any]) -> Dict[str, Any]:
     if reply.get("ok") and "gen" not in reply:
         # every successful reply reports the shard's cache generation:
         # brokers keep it as a monotone per-shard lower bound that
@@ -525,83 +504,73 @@ def _handle_shard_op(engine: SolveEngine,
     return reply
 
 
-def _shard_op_reply(engine: SolveEngine,
-                    msg: Dict[str, Any]) -> Dict[str, Any]:
+def _error_reply(exc: BaseException) -> Dict[str, Any]:
+    """A failure as a reply carrying the original exception class."""
+    return {"ok": False, "error": str(exc), "type": type(exc).__name__}
+
+
+def _solve_reply(engine: SolveEngine,
+                 item: Dict[str, Any]) -> Dict[str, Any]:
+    """Decode one ``{"fp", "request", "trace"?}`` item, run it on the
+    engine, encode the reply — the one solve path of every host (pipe
+    worker, threaded and async TCP servers; a ``solve`` message and each
+    ``solve_many`` item have this shape).
+
+    When the caller traces, the shard records its own span tree around
+    the solve and ships it on the reply, to be grafted into the caller's
+    trace (old peers without the field behave exactly as before — the
+    protocol needs no version bump).  Errors become replies: one failing
+    ``solve_many`` item must not discard its siblings' results.
+    """
     from .api import request_from_dict  # deferred: avoid import cycle
 
+    try:
+        request, fp = request_from_dict(item["request"]), item["fp"]
+        if not item.get("trace"):
+            return {"ok": True,
+                    "result": result_to_wire(engine.run(request, fp))}
+        with start_trace("shard.solve") as tr:
+            result = engine.run(request, fp)
+        return {"ok": True, "result": result_to_wire(result),
+                "trace": {"trace_id": tr.trace_id,
+                          "spans": tr.span_wire()}}
+    except Exception as exc:  # noqa: BLE001 — reply carries it
+        return _error_reply(exc)
+
+
+def _put_reply(engine: SolveEngine,
+               entries: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """Replicated hot-key writes, batched (one round-trip per replica
+    shard per batch); see :meth:`SolveEngine.put_replica`.  The reply's
+    ``gen`` seeds the writer's generation bound, so a put refused for
+    want of one lands next time."""
+    counts = {"stored": 0, "stale": 0, "skipped": 0}
+    for entry in entries:
+        try:
+            outcome = engine.put_replica(
+                entry["fp"], result_from_wire(entry["result"]),
+                platform_from_dict(entry["platform"]), entry.get("gen"))
+        except Exception:  # noqa: BLE001 — a bad entry, not a bad op
+            outcome = "skipped"
+        if outcome in counts:
+            counts[outcome] += 1
+    return {"ok": True, **counts}
+
+
+def _shard_op_reply(engine: SolveEngine,
+                    msg: Dict[str, Any]) -> Dict[str, Any]:
     op = msg.get("op")
     try:
         if op == "ping":
             return {"ok": True, "pong": True}
         if op == "solve":
-            request = request_from_dict(msg["request"])
-            if msg.get("trace"):
-                # the caller is tracing: record this shard's own span
-                # tree around the solve and ship it on the reply, to be
-                # grafted into the caller's trace.  Old peers without
-                # this field behave exactly as before — the protocol
-                # needs no version bump.
-                with start_trace("shard.solve") as tr:
-                    result = engine.run(request, msg["fp"])
-                return {"ok": True, "result": result_to_wire(result),
-                        "trace": {"trace_id": tr.trace_id,
-                                  "spans": tr.span_wire()}}
-            result = engine.run(request, msg["fp"])
-            return {"ok": True, "result": result_to_wire(result)}
+            return _solve_reply(engine, msg)
         if op == "solve_many":
-            # one round-trip for a whole shard batch; per-item error
-            # isolation mirrors the JSON API's batch op (one failing
-            # request must not discard its siblings' results)
-            replies = []
-            for item in msg["items"]:
-                try:
-                    request = request_from_dict(item["request"])
-                    if item.get("trace"):
-                        with start_trace("shard.solve") as tr:
-                            result = engine.run(request, item["fp"])
-                        replies.append({
-                            "ok": True,
-                            "result": result_to_wire(result),
-                            "trace": {"trace_id": tr.trace_id,
-                                      "spans": tr.span_wire()},
-                        })
-                        continue
-                    result = engine.run(request, item["fp"])
-                    replies.append({"ok": True,
-                                    "result": result_to_wire(result)})
-                except Exception as exc:  # noqa: BLE001 — reply carries it
-                    replies.append({"ok": False, "error": str(exc),
-                                    "type": type(exc).__name__})
-            return {"ok": True, "results": replies}
+            # one round-trip for a whole shard batch, errors per item
+            return {"ok": True, "results": [
+                _solve_reply(engine, item) for item in msg["items"]]}
         if op == "put":
-            # replicated hot-key writes, batched (one round-trip per
-            # replica shard per batch).  Every entry must carry the
-            # generation its writer captured at solve start: an entry
-            # without one is REJECTED — storing it unguarded could
-            # silently undo an invalidation — and the reply's "gen"
-            # seeds the writer's bound so its next put can land.
-            stored = stale = skipped = 0
-            for entry in msg.get("entries", ()):
-                try:
-                    gen = entry.get("gen")
-                    if not isinstance(gen, int) or isinstance(gen, bool):
-                        skipped += 1
-                        continue
-                    result = result_from_wire(entry["result"])
-                    platform = platform_from_dict(entry["platform"])
-                    if engine.cache.peek(entry["fp"]) is not None:
-                        continue  # the replica already has it
-                    landed = engine.cache.put(
-                        entry["fp"], result.solution, platform,
-                        schedule=result.schedule, generation=gen)
-                    if landed is None:
-                        stale += 1
-                    else:
-                        stored += 1
-                except Exception:  # noqa: BLE001 — a bad entry, not a bad op
-                    skipped += 1
-            return {"ok": True, "stored": stored, "stale": stale,
-                    "skipped": skipped}
+            return _put_reply(engine, msg.get("entries", ()))
         if op == "invalidate":
             platform = platform_from_dict(msg["platform"])
             return {"ok": True,
@@ -625,8 +594,7 @@ def _shard_op_reply(engine: SolveEngine,
         return {"ok": False, "error": f"unknown shard op {op!r}",
                 "type": "SpecError"}
     except Exception as exc:  # noqa: BLE001 — reply carries it
-        return {"ok": False, "error": str(exc),
-                "type": type(exc).__name__}
+        return _error_reply(exc)
 
 
 def _shard_worker_main(conn, cache_size: int, ttl: Optional[float],
@@ -1297,23 +1265,22 @@ class AsyncShardServer:
             return
         exc = done.exception()
         if exc is not None:
-            shared.set_result({"ok": False, "error": str(exc),
-                               "type": type(exc).__name__})
+            shared.set_result(_error_reply(exc))
         else:
             shared.set_result(done.result())
 
     def _solve_job(self, fp: str, request_wire: Any,
                    trace: bool) -> Dict[str, Any]:
         """Executor thread: the only place engine.run happens."""
-        msg = {"op": "solve", "fp": fp, "request": request_wire}
-        if trace:
-            msg["trace"] = True
         with self._engine_lock:
-            return _handle_shard_op(self.engine, msg)
+            return _with_generation(self.engine, _solve_reply(
+                self.engine,
+                {"fp": fp, "request": request_wire, "trace": trace}))
 
     def _locked_message(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         with self._engine_lock:
-            return _handle_shard_op(self.engine, msg)
+            return _with_generation(self.engine,
+                                    _shard_op_reply(self.engine, msg))
 
     def _follower_trace(self, fp: str, waited: float,
                         leader_trace: Optional[Dict[str, Any]],

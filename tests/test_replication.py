@@ -156,9 +156,8 @@ class TestThreadModeHotPath:
             replicas = sharded.ring.successors(fp, 2)
             for _ in range(4):
                 sharded.solve(req)
-            holders = [sid for sid, broker in
-                       enumerate(sharded._thread_shards)
-                       if broker.cache.peek(fp) is not None]
+            holders = [sid for sid, shard in enumerate(sharded._shards)
+                       if shard.broker.cache.peek(fp) is not None]
             assert sorted(holders) == sorted(replicas)
             rep = sharded.snapshot()["replication"]
             assert rep["replicated_puts"] >= 1
@@ -205,7 +204,7 @@ class TestThreadModeHotPath:
                 sharded.submit(req).result(10)
             replicas = sharded.ring.successors(fp, 2)
             assert _wait_until(lambda: all(
-                sharded._thread_shards[sid].cache.peek(fp) is not None
+                sharded._shards[sid].broker.cache.peek(fp) is not None
                 for sid in replicas))
 
     def test_invalidate_platform_flushes_near_cache(self):
@@ -266,8 +265,8 @@ class TestReplicatedStalenessRace:
                 lambda: sharded.snapshot()["replication"]
                 ["near_cache"]["stale_rejects"] >= 1)
             assert _wait_until(lambda: sharded.replica_put_rejects >= 1)
-            for broker in sharded._thread_shards:
-                assert broker.cache.peek(fp) is None
+            for shard in sharded._shards:
+                assert shard.broker.cache.peek(fp) is None
             assert sharded._near_cache.peek(fp) is None
             merged = sharded.snapshot()["cache"]
             assert merged["size"] == 0
@@ -411,9 +410,9 @@ class TestProcessModeReplication:
             # 0 (exactly what a concurrent invalidate through a second
             # broker produces)
             sharded.invalidate_platform(req.platform)
-            with sharded._rep_lock:
-                for sid in replicas:
-                    sharded._known_gens[sid] = 0
+            for sid in replicas:
+                with sharded._shards[sid]._stats_lock:
+                    sharded._shards[sid]._known_gen = 0
             before = sharded.replica_put_rejects
             result = sharded.solve(req)  # hot: re-solves on one replica
             sharded.flush_replication(timeout=10)

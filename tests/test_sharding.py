@@ -258,9 +258,36 @@ class TestShardedBrokerProcess:
             payload = request_to_dict(good)
             payload["spec"]["problem"] = "nope"
             with pytest.raises(BrokerError, match="unknown problem"):
-                sharded._transport_shards[0].call(
+                sharded._shards[0].call(
                     {"op": "solve", "fp": good.fingerprint(),
                      "request": payload})
+
+    def test_relayed_worker_errors_carry_the_shard_id(self, monkeypatch):
+        from repro.service import ShardError
+        from repro.service import broker as broker_mod
+
+        def broken(request):
+            raise RuntimeError("worker-side failure")
+
+        # forked workers inherit the patched cold path
+        monkeypatch.setattr(broker_mod, "execute_request", broken)
+        with ShardedBroker(shards=2, shard_mode="process",
+                           mp_start_method="fork",
+                           incremental=False) as sharded:
+            req = next(
+                r for r in (SolveRequest(problem="broadcast",
+                                         platform=generators.chain(n),
+                                         source="N0")
+                            for n in range(2, 20))
+                if sharded.shard_for(r.fingerprint()) == 1)
+            with pytest.raises(ShardError) as single:
+                sharded.solve(req)
+            assert type(single.value).__name__ == "RuntimeError"
+            assert single.value.shard == 1
+            with pytest.raises(ShardError) as batched:
+                sharded.solve_batch([req])
+            assert type(batched.value).__name__ == "RuntimeError"
+            assert batched.value.shard == 1
 
     def test_worker_error_preserves_original_type(self):
         from repro.service import ShardError
@@ -270,13 +297,13 @@ class TestShardedBrokerProcess:
                 # worker-side PlatformError (not a SpecError): the relayed
                 # exception must report the ORIGINAL class name, so the
                 # JSON API's "type" field matches the unsharded broker
-                sharded._transport_shards[0].call(
+                sharded._shards[0].call(
                     {"op": "invalidate", "platform": {"nodes": 12}})
             assert type(err.value).__name__ == "PlatformError"
 
     def test_close_is_idempotent_and_workers_exit(self):
         sharded = ShardedBroker(shards=2, shard_mode="process")
-        procs = [s.process for s in sharded._transport_shards]
+        procs = [s.process for s in sharded._shards]
         sharded.close()
         sharded.close()
         assert all(not p.is_alive() for p in procs)
@@ -318,7 +345,7 @@ class TestSolveMany:
         with ShardedBroker(shards=2, shard_mode="process") as sharded:
             bad = request_to_dict(good)
             bad["spec"]["problem"] = "nope"
-            reply = sharded._transport_shards[0].call({
+            reply = sharded._shards[0].call({
                 "op": "solve_many",
                 "items": [
                     {"fp": good.fingerprint(),
@@ -630,8 +657,8 @@ class TestLocalShardSupervision:
                            master="P1")
         with ShardedBroker(shards=2, shard_mode="process") as sharded:
             reference = sharded.solve(req)
-            old_pids = [s.process.pid for s in sharded._transport_shards]
-            for shard in sharded._transport_shards:  # kill every worker
+            old_pids = [s.process.pid for s in sharded._shards]
+            for shard in sharded._shards:  # kill every worker
                 shard.process.kill()
                 shard.process.join()
             # no lost request: the owning shard is restarted (fresh
@@ -642,7 +669,7 @@ class TestLocalShardSupervision:
             health = sharded.shard_health()
             assert health["shard_failures"] >= 1
             assert health["shard_restarts"] >= 1
-            new_pids = [s.process.pid for s in sharded._transport_shards]
+            new_pids = [s.process.pid for s in sharded._shards]
             assert any(a != b for a, b in zip(old_pids, new_pids))
 
     def test_death_mid_request_is_a_typed_shard_error_not_eof(self):
@@ -653,7 +680,7 @@ class TestLocalShardSupervision:
         req = SolveRequest(problem="master-slave",
                            platform=generators.star(3), master="M")
         with ShardedBroker(shards=2, shard_mode="process") as sharded:
-            shard = sharded._transport_shards[
+            shard = sharded._shards[
                 sharded.shard_for(req.fingerprint())
             ]
             shard.process.kill()
@@ -668,8 +695,8 @@ class TestLocalShardSupervision:
         with ShardedBroker(shards=1, shard_mode="process",
                            request_timeout=0.3) as sharded:
             with pytest.raises(ShardTimeoutError) as err:
-                sharded._routed_call("0" * 64,
-                                     {"op": "sleep", "seconds": 10.0})
+                sharded._routed_call("0" * 64, lambda shard: shard.request(
+                    {"op": "sleep", "seconds": 10.0}))
             assert err.value.shard == 0
             # the hung worker was replaced; the shard still serves
             req = SolveRequest(problem="master-slave",
@@ -691,7 +718,7 @@ class TestLocalShardSupervision:
         ]
         with ShardedBroker(shards=2, shard_mode="process") as sharded:
             sharded.solve_batch(variants)
-            for shard in sharded._transport_shards:
+            for shard in sharded._shards:
                 shard.process.kill()
                 shard.process.join()
             # must not raise — dead workers are restarted with empty
@@ -843,7 +870,7 @@ class TestRemoteTcpShards:
                 server.join()
                 # force the failure to be noticed (request path ejects)
                 assert sharded.solve(req).throughput == Fraction(2)
-                remote = sharded._transport_shards[1]
+                remote = sharded._shards[1]
                 assert not remote.active
                 server = _start_shard_process(port)  # same address
                 deadline = time.time() + 20
@@ -893,7 +920,7 @@ class TestTimeoutConfiguration:
                            platform=generators.star(2), master="M")
         with ShardedBroker(shards=1, shard_mode="process",
                            request_timeout=0.5) as sharded:
-            shard = sharded._transport_shards[0]
+            shard = sharded._shards[0]
             seen = []
             original = shard.call
 
@@ -905,12 +932,11 @@ class TestTimeoutConfiguration:
             items = [{"fp": req.fingerprint(),
                       "request": request_to_dict(req)}
                      for _ in range(6)]
-            reply = sharded._shard_call(shard,
-                                        {"op": "solve_many",
-                                         "items": items})
+            reply = shard.request({"op": "solve_many",
+                                   "items": items})
             assert len(reply["results"]) == 6
             assert seen == [6 * 0.5]  # the whole-batch budget
-            sharded._shard_call(shard, {"op": "ping"})
+            shard.request({"op": "ping"})
             assert seen[-1] == 0.5  # single ops keep the per-request one
 
 
