@@ -13,7 +13,12 @@ trees and large random connected platforms:
   (plus rare eta-overflow refactorisations), asserted far below the
   pivot count a cold solve would pay, with zero basis fallbacks;
 * the factorisation counters themselves (eta length, FTRAN/BTRAN ops,
-  LU fill) as exposed through ``WarmSolveStats``.
+  LU fill) as exposed through ``WarmSolveStats``;
+* certified objectives — the broadcast bound LPs of Figure 1,
+  ``random_connected(6)``, ``binary_tree(2)`` and a suite of larger
+  ``random_connected`` platforms solved both ways: HiGHS proposes a basis
+  that one exact LU certifies (:meth:`LinearProgram.optimum`), versus
+  the exact cold two-phase solve.
 
 Emits ``BENCH_revised.json`` at the repo root.  Run standalone::
 
@@ -23,7 +28,11 @@ Asserted shape: every engine comparison is Fraction-identical with an
 identical pivot count; the revised engine's cold solves are >= 1.5x
 faster than the tableau in aggregate on the large-platform suite; warm
 refactorisations stay at ~1 per re-solve and well under the cold pivot
-bill; ``basis_fallbacks`` stays 0 on the warm workload.
+bill; ``basis_fallbacks`` stays 0 on the warm workload; certified
+objectives are Fraction-identical to the cold ones, Figure 1 certifies
+with 0 exact pivots, and all certified solves together take at most 10%
+of the cold solves' pivots (counters, not wall-clock; both times are
+reported).
 """
 
 from __future__ import annotations
@@ -36,8 +45,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from repro import generators
+from repro.core.broadcast import build_broadcast_lp
 from repro.core.master_slave import build_ssms_lp
-from repro.lp import SimplexInstance
+from repro.lp import SimplexInstance, scipy_backend
 from repro.platform.graph import Platform
 from repro.service import EndpointMetrics, IncrementalSolver
 from repro._rational import INF, is_infinite
@@ -212,12 +222,81 @@ def bench_warm_refactorisation(smoke: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
+def bench_certified_bounds(smoke: bool) -> dict:
+    """Broadcast bound LPs, certified vs exact cold: identical objective,
+    pivot counters, and both times.
+
+    The larger platforms are ``random_connected(n, seed=7)`` like the
+    cold-engine suite, but smaller: a broadcast LP has one flow per
+    (edge, target), and the exact cold solve of ``n = 12`` already takes
+    ~20 s, so the reference stops there."""
+    platforms = {
+        "paper_figure1": (generators.paper_figure1(), "P1"),
+        "random_connected6": (generators.random_connected(6, seed=0), "R0"),
+        "binary_tree2": (generators.binary_tree(2, seed=1), "T0"),
+    }
+    sizes = (8,) if smoke else (8, 10, 12)
+    for n in sizes:
+        platforms[f"random_connected{n}"] = (
+            generators.random_connected(n, seed=7), "R0")
+    out = {}
+    certified_pivots = cold_pivots = 0
+    certified_s = cold_s = 0.0
+    for name, (platform, source) in platforms.items():
+        lp, _handles = build_broadcast_lp(platform, source)
+        cert = SimplexInstance(lp)
+        start = time.perf_counter()
+        cert_sol = cert.solve(propose=scipy_backend.propose_basis)
+        cert_elapsed = time.perf_counter() - start
+        cold = SimplexInstance(lp)
+        start = time.perf_counter()
+        cold_sol = cold.solve()
+        cold_elapsed = time.perf_counter() - start
+        assert cert_sol.objective == cold_sol.objective, name
+        phases = {ph["phase"]: ph["duration_seconds"] * 1e3
+                  for ph in cert.last_phases}
+        out[name] = {
+            "rows": len(lp.constraints),
+            "columns": len(lp.variables),
+            "objective": str(cold_sol.objective),
+            "certified": cert.certified,
+            "fallbacks": cert.fallbacks,
+            "certified_pivots": cert.last_pivots,
+            "cold_pivots": cold.last_pivots,
+            "certified_ms": cert_elapsed * 1e3,
+            "search_ms": phases.get("hint.search", 0.0),
+            "certify_ms": phases.get("hint.certify", 0.0),
+            "cold_ms": cold_elapsed * 1e3,
+            "speedup": cold_elapsed / cert_elapsed,
+        }
+        certified_pivots += cert.last_pivots
+        cold_pivots += cold.last_pivots
+        certified_s += cert_elapsed
+        cold_s += cold_elapsed
+    fig1 = out["paper_figure1"]
+    assert fig1["certified"] == 1 and fig1["certified_pivots"] == 0, (
+        f"Figure 1 bound not certified on the proposed basis: {fig1}")
+    assert certified_pivots * 10 <= cold_pivots, (
+        f"certified solves took {certified_pivots} pivots, over 10% of "
+        f"the cold solves' {cold_pivots}")
+    out["total"] = {
+        "certified_pivots": certified_pivots,
+        "cold_pivots": cold_pivots,
+        "certified_ms": certified_s * 1e3,
+        "cold_ms": cold_s * 1e3,
+        "speedup": cold_s / certified_s,
+    }
+    return out
+
+
+# ----------------------------------------------------------------------
 def run(smoke: bool = False) -> dict:
     return {
         "benchmark": "S7 revised simplex",
         "smoke": smoke,
         "cold_engines": bench_cold_engines(smoke),
         "warm_refactorisation": bench_warm_refactorisation(smoke),
+        "certified_bounds": bench_certified_bounds(smoke),
     }
 
 

@@ -111,9 +111,12 @@ def broadcast_lp_bound(
     targets: Optional[Sequence[NodeId]] = None,
     backend: str = "exact",
 ) -> Fraction:
-    """Upper bound on broadcast throughput (max-rule LP optimum)."""
+    """Upper bound on broadcast throughput (max-rule LP optimum).
+
+    Only the objective is kept, so the exact backend takes the certified
+    path of :meth:`~repro.lp.model.LinearProgram.optimum`."""
     lp, _ = build_broadcast_lp(platform, source, targets)
-    return lp.solve(backend=backend).objective
+    return lp.optimum(backend=backend)
 
 
 @dataclass

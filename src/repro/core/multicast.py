@@ -71,12 +71,14 @@ def multicast_bounds(
     targets: Sequence[NodeId],
     backend: str = "exact",
 ) -> Tuple[Fraction, Fraction]:
-    """Return ``(sum_lp, max_lp)`` throughput bounds."""
+    """Return ``(sum_lp, max_lp)`` throughput bounds (objectives only,
+    so both take the certified path of
+    :meth:`~repro.lp.model.LinearProgram.optimum`)."""
     lp_sum_form, _ = build_ssps_lp(platform, source, list(targets))
     lp_max_form, _ = build_broadcast_lp(platform, source, list(targets))
     return (
-        lp_sum_form.solve(backend=backend).objective,
-        lp_max_form.solve(backend=backend).objective,
+        lp_sum_form.optimum(backend=backend),
+        lp_max_form.optimum(backend=backend),
     )
 
 

@@ -2,7 +2,9 @@
 
 The exact backend (:mod:`repro.lp.simplex`) produces rational optima, which
 the paper's period construction requires; the scipy backend
-(:mod:`repro.lp.scipy_backend`) provides fast cross-checks.
+(:mod:`repro.lp.scipy_backend`) provides fast cross-checks and the float
+basis search behind :meth:`LinearProgram.optimum`, whose proposals the
+exact backend certifies.
 """
 
 from .factor import BasisFactor, SingularBasisError, SparseLU

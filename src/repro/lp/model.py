@@ -368,9 +368,12 @@ class LinearProgram:
     def solve(self, backend: str = "exact", **kwargs) -> LPSolution:
         """Solve with the chosen backend (``"exact"`` or ``"scipy"``).
 
-        The exact backend returns the true rational optimum (required for
-        period extraction); the scipy backend is faster on large models and
-        is used for cross-checking and big sweeps.
+        The exact backend returns the true rational optimum *and* the
+        optimal vertex reached by exact pivots from the textbook initial
+        basis (required for period extraction: schedules are rebuilt
+        from these values); the scipy backend is faster on large models
+        and is used for cross-checking and big sweeps.  Callers that
+        keep only the objective should use :meth:`optimum`.
         """
         if self.objective is None:
             raise LPError("no objective set")
@@ -383,6 +386,34 @@ class LinearProgram:
 
             return solve_scipy(self, **kwargs)
         raise LPError(f"unknown backend {backend!r}")
+
+    def optimum(self, backend: str = "exact") -> Fraction:
+        """The optimal objective value alone — exactly, and fast.
+
+        With the exact backend this is float-searched and exactly
+        certified: HiGHS proposes an optimal basis
+        (:func:`~repro.lp.scipy_backend.propose_basis`), one exact sparse
+        LU proves it primal and dual feasible, and a wrong proposal is
+        repaired by bounded exact pivots or replaced by the cold
+        two-phase solve.  The returned :class:`~fractions.Fraction` is
+        the same one :meth:`solve` reports, and infeasible/unbounded LPs
+        raise the same errors, decided by the exact engine.
+
+        Only the objective leaves this method.  When an LP has several
+        optimal vertices, the certified basis may be a different one from
+        the vertex :meth:`solve` pivots to; schedules are rebuilt from
+        values, so value consumers stay on :meth:`solve`.  (Float-starting
+        every exact solve moved the Figure 1 master-slave period from 2
+        to 4.)
+        """
+        if self.objective is None:
+            raise LPError("no objective set")
+        if backend != "exact":
+            return self.solve(backend=backend).objective
+        from .scipy_backend import propose_basis
+        from .simplex import SimplexInstance
+
+        return SimplexInstance(self).solve(propose=propose_basis).objective
 
     def check(self, solution: LPSolution, tol: Fraction = Fraction(0)) -> None:
         """Assert that ``solution`` satisfies all constraints and bounds.

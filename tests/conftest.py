@@ -4,7 +4,28 @@ from __future__ import annotations
 
 import pytest
 
+from repro.lp import SimplexInstance
 from repro.platform import generators as gen
+
+
+@pytest.fixture
+def exact_solves(monkeypatch):
+    """Every exact solve of the test, as ``(proposed, pivots,
+    certified)``: whether a basis proposer was passed (the
+    objective-only path), the exact pivots taken and whether the start
+    basis was certified."""
+    calls = []
+    real = SimplexInstance.solve
+
+    def spy(self, warm=False, propose=None):
+        before = self.certified
+        sol = real(self, warm=warm, propose=propose)
+        calls.append((propose is not None, sol.pivots,
+                      self.certified - before))
+        return sol
+
+    monkeypatch.setattr(SimplexInstance, "solve", spy)
+    return calls
 
 
 @pytest.fixture

@@ -70,6 +70,26 @@ class TestAchievability:
             assert (rate * T).denominator == 1
 
 
+class TestCertifiedBound:
+    def test_figure1_answer_is_pinned_and_its_bound_needs_no_pivot(
+            self, exact_solves):
+        sol = solve_broadcast(gen.paper_figure1(), "P1")
+        assert sol.lp_bound == Fraction(2, 3)
+        assert sol.achieved == Fraction(2, 3)
+        assert sol.period() == 3
+        assert sol.packing == {
+            frozenset({("P1", "P2"), ("P2", "P4"), ("P4", "P5"),
+                       ("P5", "P6"), ("P6", "P3")}): Fraction(1, 3),
+            frozenset({("P1", "P3"), ("P3", "P6"), ("P4", "P2"),
+                       ("P5", "P4"), ("P6", "P5")}): Fraction(1, 3),
+        }
+        # the bound LP: HiGHS's basis certified by one exact LU, 0 pivots
+        assert [c for c in exact_solves if c[0]] == [(True, 0, 1)]
+        # the packing LP keeps its values, so it keeps the pivot path
+        assert any(not proposed and pivots > 0
+                   for proposed, pivots, _ in exact_solves)
+
+
 class TestBounds:
     def test_edmonds_upper_bounds_lp_on_unit_costs(self):
         """With all c = 1 the one-port model is weaker than edge capacity,

@@ -140,6 +140,14 @@ class TestBoundsFunction:
         sum_lp, max_lp = multicast_bounds(fig2, "P0", ["P5", "P6"])
         assert sum_lp <= max_lp
 
+    def test_random_platform_bounds_are_pinned_and_certified(
+            self, exact_solves):
+        g = gen.random_connected(6, seed=2)
+        sum_lp, max_lp = multicast_bounds(g, "R0", ["R2", "R4", "R5"])
+        assert (sum_lp, max_lp) == (Fraction(1, 15), Fraction(1, 5))
+        # both objective-only LPs took the certified path
+        assert [proposed for proposed, _, _ in exact_solves] == [True, True]
+
     def test_scipy_backend_close(self, fig2):
         es, em = multicast_bounds(fig2, "P0", ["P5", "P6"])
         ss, sm = multicast_bounds(fig2, "P0", ["P5", "P6"], backend="scipy")

@@ -19,8 +19,10 @@ from repro.lp import (
     SparseLU,
     UnboundedError,
     lp_sum,
+    scipy_backend,
     solve_exact,
 )
+from repro.lp.simplex import _build_standard_form
 
 F = Fraction
 coef = st.integers(min_value=-5, max_value=5)
@@ -407,6 +409,183 @@ class TestWarmEdgeCases:
         assert stats["ftran_ops"] > 0 and stats["btran_ops"] > 0
         assert stats["lu_basis_nnz"] > 0
         assert stats["lu_nnz"] >= stats["refactorisations"]
+
+
+# ----------------------------------------------------------------------
+# certified optimum: a float-proposed basis, proven (or repaired) exactly
+# ----------------------------------------------------------------------
+def classify_optimum(lp):
+    try:
+        return "optimal", lp.optimum()
+    except InfeasibleError:
+        return "infeasible", None
+    except UnboundedError:
+        return "unbounded", None
+
+
+class TestCertifiedOptimum:
+    @settings(max_examples=120, deadline=None)
+    @given(random_lp())
+    def test_optimum_equals_exact_objective(self, data):
+        lp_c, _ = build_lp(data)
+        lp_e, _ = build_lp(data)
+        kind_c, value = classify_optimum(lp_c)
+        kind_e, sol = classify(lp_e, "revised")
+        assert kind_c == kind_e
+        if kind_e == "optimal":
+            assert isinstance(value, Fraction)
+            assert value == sol.objective
+
+    @pytest.mark.parametrize("engine", ["revised", "tableau"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=random_lp(), dyn=st.data())
+    def test_any_well_formed_hint_gives_the_exact_answer(self, engine,
+                                                         data, dyn):
+        """A random basis, good or bad, goes through the restart ladder:
+        same classification and objective as the cold solve, and the
+        reported point is feasible."""
+        lp, _ = build_lp(data)
+        kind, cold = classify(lp, engine)
+        hint = None
+        if kind != "infeasible":  # else the standard form may not build
+            sf = _build_standard_form(lp)
+            m = len(sf.rows)
+            hint = dyn.draw(st.permutations(range(sf.num_cols + m)))[:m]
+        inst = SimplexInstance(lp, engine=engine)
+        try:
+            sol = inst.solve(propose=lambda sf: hint)
+            got = ("optimal", sol.objective)
+        except InfeasibleError:
+            got = ("infeasible", None)
+        except UnboundedError:
+            got = ("unbounded", None)
+        assert got == (kind, cold.objective if cold else None)
+        if kind == "optimal":
+            lp.check(sol)
+
+    # max x + y + z  s.t.  x + 2y + 2z <= 4,  3x + y + 6z <= 6,  all >= 0.
+    # Standard-form columns: x=0, y=1, z=2, slacks s1=3, s2=4; the
+    # logical of row r is 5 + r.  z's column is twice x's, so {x, z} is
+    # singular.  Optimum 14/5 at x = 8/5, y = 6/5.
+    @staticmethod
+    def _hint_model():
+        lp = LinearProgram(name="hint")
+        x = lp.variable("x", lo=0)
+        y = lp.variable("y", lo=0)
+        z = lp.variable("z", lo=0)
+        lp.add_constraint(x + 2 * y + 2 * z <= 4, name="c1")
+        lp.add_constraint(3 * x + y + 6 * z <= 6, name="c2")
+        lp.maximize(x + y + z)
+        return lp
+
+    @staticmethod
+    def _solve_with(hint):
+        lp = TestCertifiedOptimum._hint_model()
+        inst = SimplexInstance(lp)
+        if isinstance(hint, Exception):
+            def propose(sf):
+                raise hint
+        else:
+            def propose(sf):
+                return hint
+        sol = inst.solve(propose=propose)
+        lp.check(sol)
+        assert sol.objective == F(14, 5)
+        return inst.stats()
+
+    def test_highs_proposes_the_optimal_basis(self):
+        sf = _build_standard_form(self._hint_model())
+        assert sorted(scipy_backend.propose_basis(sf)) == [0, 1]
+
+    def test_optimal_hint_certifies_without_pivots(self):
+        stats = self._solve_with([1, 0])
+        assert stats["certified"] == 1 and stats["last_pivots"] == 0
+        assert stats["fallbacks"] == 0
+
+    def test_primal_infeasible_hint_takes_a_dual_repair(self):
+        # {y, s1}: y = 6, s1 = -8, but every reduced cost >= 0
+        stats = self._solve_with([1, 3])
+        assert stats["dual_repairs"] == 1
+        assert stats["certified"] == 0 and stats["fallbacks"] == 0
+
+    def test_dual_infeasible_hint_takes_primal_pivots(self):
+        # the slack basis: feasible, not optimal
+        stats = self._solve_with([3, 4])
+        assert stats["phase1_skips"] == 1 and stats["last_pivots"] > 0
+        assert stats["certified"] == 0 and stats["fallbacks"] == 0
+
+    def test_doubly_infeasible_hint_takes_a_restricted_phase1(self):
+        # {z, s2}: s2 = -6 and x prices at -1/2
+        stats = self._solve_with([2, 4])
+        assert stats["primal_repairs"] == 1
+        assert stats["certified"] == 0 and stats["fallbacks"] == 0
+
+    def test_nonzero_logical_is_exchanged_out(self):
+        # x with row 2's logical: the logical sits at -6, so no
+        # certificate as proposed; the ladder swaps it for a column
+        stats = self._solve_with([0, 6])
+        assert stats["basis_restarts"] == 1 and stats["fallbacks"] == 0
+
+    @pytest.mark.parametrize("hint", [
+        [0, 2],           # singular: z's column is 2 * x's
+        [0, 0],           # duplicate columns
+        [0],              # too short
+        [0, 1, 3],        # too long
+        [0, 99],          # id out of range
+        [-1, 0],          # negative id
+        [1.0, 0],         # not integers
+        None,             # no proposal
+        RuntimeError("solver crashed"),
+    ], ids=["singular", "duplicate", "short", "long", "out-of-range",
+            "negative", "float-ids", "none", "exception"])
+    def test_unusable_hint_falls_back_cold(self, hint):
+        stats = self._solve_with(hint)
+        assert stats["fallbacks"] == 1
+        assert stats["basis_restarts"] == 0 and stats["certified"] == 0
+
+    def test_highs_non_optimal_status_is_no_hint(self, monkeypatch):
+        monkeypatch.setitem(scipy_backend._HIGHS_OPTIONS,
+                            "simplex_iteration_limit", 0)
+        monkeypatch.setitem(scipy_backend._HIGHS_OPTIONS, "presolve", "off")
+        sf = _build_standard_form(self._hint_model())
+        assert scipy_backend.propose_basis(sf) is None
+        assert self._hint_model().optimum() == F(14, 5)
+
+    @pytest.mark.parametrize("bad", [
+        lambda sf: [0, 2],
+        lambda sf: [3, 4],
+        lambda sf: None,
+        lambda sf: 1 / 0,
+    ], ids=["singular", "dual-infeasible", "none", "exception"])
+    def test_optimum_survives_a_bad_basis_finder(self, monkeypatch, bad):
+        monkeypatch.setattr(scipy_backend, "propose_basis", bad)
+        assert self._hint_model().optimum() == F(14, 5)
+
+    def test_infeasible_and_unbounded_are_decided_exactly(self):
+        lp = LinearProgram(name="infeasible")
+        x = lp.variable("x", lo=0)
+        lp.add_constraint(x >= 2, name="lo")
+        lp.add_constraint(x <= 1, name="hi")
+        lp.maximize(x)
+        with pytest.raises(InfeasibleError):
+            lp.optimum()
+        lp = LinearProgram(name="unbounded")
+        x = lp.variable("x", lo=0)
+        lp.add_constraint(x >= 2, name="lo")
+        lp.maximize(x)
+        with pytest.raises(UnboundedError):
+            lp.optimum()
+
+    def test_search_and_certificate_are_timed_phases(self):
+        lp = self._hint_model()
+        inst = SimplexInstance(lp)
+        inst.solve(propose=scipy_backend.propose_basis)
+        assert [p["phase"] for p in inst.last_phases] == [
+            "hint.search", "hint.certify"]
+        assert all(p["pivots"] == 0 for p in inst.last_phases)
+
+    def test_scipy_backend_optimum_passes_through(self):
+        assert self._hint_model().optimum(backend="scipy") == F(14, 5)
 
 
 # ----------------------------------------------------------------------
